@@ -31,14 +31,17 @@ from .landau import (
     momentum_right,
 )
 from .scattering import (
+    BatchAmplitudes,
     CurrentBudget,
     KinematicFactor,
     ScatterAmplitudes,
     amplitudes,
+    amplitudes_batch,
     current_budget,
     h0_amplitudes,
     kinematic_factor,
     klein_limit,
+    solve_boundary_batch,
     solve_boundary_system,
 )
 from .spinfilter import (
@@ -83,6 +86,7 @@ __all__ = [
     "KinematicFactor",
     "ScatterAmplitudes",
     "CurrentBudget",
+    "BatchAmplitudes",
     "SpinorField",
     "FilterSetup",
     "Branch",
@@ -94,7 +98,9 @@ __all__ = [
     "momentum_right",
     "kinematic_factor",
     "amplitudes",
+    "amplitudes_batch",
     "solve_boundary_system",
+    "solve_boundary_batch",
     "current_budget",
     "klein_limit",
     "h0_amplitudes",

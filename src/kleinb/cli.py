@@ -11,9 +11,7 @@ text.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import selftest as selftest_mod
 from .errors import (
@@ -26,9 +24,24 @@ from .errors import (
     OscillatorRange,
     SingularStep,
 )
-from .scattering import amplitudes, current_budget, klein_limit
+from .scattering import (
+    amplitudes,
+    amplitudes_batch,
+    channel_arrays,
+    current_budget,
+    klein_limit,
+)
 from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
-from .states import ChannelParams, Regime, Spin, classify, make_channel
+from .states import (
+    REGIMES,
+    ChannelParams,
+    FieldStrength,
+    IncomingState,
+    Spin,
+    classify,
+    make_channel,
+    regime_codes,
+)
 from .wavefield import assemble_field, save_grid
 
 EXIT_OK = 0
@@ -145,46 +158,58 @@ def _read_config(path: str) -> dict:
 
 def _axis_values(args) -> list[float]:
     if args.values is not None:
-        return [float(v) for v in args.values.split(",") if v.strip()]
-    if args.start is None or args.stop is None:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    elif args.start is None or args.stop is None:
         raise ValueError("sweep needs --values or --start/--stop/--count")
-    count = args.count
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count == 1:
-        return [args.start]
-    step = (args.stop - args.start) / (count - 1)
-    return [args.start + i * step for i in range(count)]
+    elif args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
+    elif args.count == 1:
+        values = [args.start]
+    else:
+        step = (args.stop - args.start) / (args.count - 1)
+        values = [args.start + i * step for i in range(args.count)]
+    if args.axis == "n":
+        for v in values:
+            if not v.is_integer():
+                raise ValueError(f"n axis values must be integers, got {v!r}")
+    return values
 
 
-def _sweep_row(axis: str, value: float, fixed: dict) -> dict:
-    kwargs = dict(fixed)
-    kwargs[axis] = int(round(value)) if axis == "n" else value
-    try:
-        params = make_channel(kwargs["E"], kwargs["V0"], kwargs["b"], kwargs["spin"], kwargs["n"])
-        rec = _point_record(params)
-        cells = {
-            "regime": rec["regime"],
-            "re_R": fmt(rec["R"].real), "im_R": fmt(rec["R"].imag),
-            "re_Rp": fmt(rec["Rp"].real), "im_Rp": fmt(rec["Rp"].imag),
-            "re_T": fmt(rec["T"].real), "im_T": fmt(rec["T"].imag),
-            "re_Tp": fmt(rec["Tp"].real), "im_Tp": fmt(rec["Tp"].imag),
-            "refl_same": fmt(rec["refl_same"]), "refl_flip": fmt(rec["refl_flip"]),
-            "trans_same": fmt(rec["trans_same"]), "trans_flip": fmt(rec["trans_flip"]),
-            "sum": fmt(rec["sum"]),
-            "error": "",
-        }
-    except _VALIDATION_ERRORS as exc:
-        cells = {name: "" for name in ("regime",) + SWEEP_VALUE_COLUMNS}
-        cells["error"] = type(exc).__name__
-    cells["axis_value"] = fmt(value)
-    return cells
+def _sweep_rows(axis: str, values: list[float], fixed: dict) -> list[dict]:
+    """CSV cells per axis value: each point is validated by make_channel,
+    then all valid points are evaluated in one amplitudes_batch call."""
+    errors, points = [], []
+    for value in values:
+        kw = dict(fixed, **{axis: int(value) if axis == "n" else value})
+        try:
+            points.append(make_channel(kw["E"], kw["V0"], kw["b"], kw["spin"], kw["n"]))
+            errors.append("")
+        except _VALIDATION_ERRORS as exc:
+            errors.append(type(exc).__name__)
+    batch = amplitudes_batch(*channel_arrays(points))
+    columns = {"regime": [REGIMES[r].value for r in batch.regime.tolist()]}
+    for name in ("R", "Rp", "T", "Tp"):
+        z = getattr(batch, name)
+        columns[f"re_{name}"] = [fmt(x) for x in z.real.tolist()]
+        columns[f"im_{name}"] = [fmt(x) for x in z.imag.tolist()]
+    for name in ("refl_same", "refl_flip", "trans_same", "trans_flip", "sum"):
+        columns[name] = [fmt(x) for x in getattr(batch, name).tolist()]
+    singular = batch.singular.tolist()
+    rows, j = [], -1
+    for value, error in zip(values, errors):
+        if not error:
+            j += 1
+            if singular[j]:
+                error = SingularStep.__name__
+        cells = {name: "" if error else col[j] for name, col in columns.items()}
+        rows.append(dict(cells, axis_value=fmt(value), error=error))
+    return rows
 
 
 _SWEEP_KEYS = {
     "axis": str, "start": float, "stop": float, "count": int, "values": str,
     "E": float, "V0": float, "b": float, "n": int, "spin": _spin,
-    "columns": str, "jobs": int, "output": str,
+    "columns": str, "output": str,
 }
 
 
@@ -200,8 +225,6 @@ def cmd_sweep(args) -> int:
                 setattr(args, key, _SWEEP_KEYS[key](raw))
     if args.count is None:
         args.count = 51
-    if args.jobs is None:
-        args.jobs = 1
     axis = args.axis
     if axis is None:
         raise ValueError("sweep needs --axis (E, V0, b, or n)")
@@ -220,13 +243,7 @@ def cmd_sweep(args) -> int:
         selected = list(SWEEP_VALUE_COLUMNS)
     header = ["axis_value", "regime", *selected, "error"]
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [_sweep_row(axis, v, fixed) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # executor.map preserves input order: output is deterministic
-            rows = list(pool.map(lambda v: _sweep_row(axis, v, fixed), values))
+    rows = _sweep_rows(axis, values, fixed)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         print(",".join(header), file=out)
@@ -241,21 +258,17 @@ def cmd_sweep(args) -> int:
 def cmd_regime_map(args) -> int:
     import numpy as np
 
+    FieldStrength(args.b)  # validates b
+    IncomingState(Spin.DOWN, args.n)  # validates n
     es = np.linspace(args.E_start, args.E_stop, args.E_count)
     v0s = np.linspace(args.V0_start, args.V0_stop, args.V0_count)
-    msq = 1.0 + 2.0 * args.b * args.n
-    m = math.sqrt(msq)
-    print("E,V0,regime,open")
-    for e in es:
-        for v0 in v0s:
-            if v0 - m > e:
-                regime = Regime.CASE_I
-            elif e > v0 + m:
-                regime = Regime.CASE_II
-            else:
-                regime = Regime.CASE_III
-            is_open = int(e * e > msq and e > 0)
-            print(f"{fmt(e)},{fmt(v0)},{regime.value},{is_open}")
+    c = 2.0 * args.b * args.n
+    labels = [REGIMES[r].value for r in regime_codes(es[:, None], v0s[None, :], c).ravel().tolist()]
+    is_open = ((es * es > 1.0 + c) & (es > 0)).astype(int).tolist()
+    e_text, v0_text = [fmt(e) for e in es], [fmt(v0) for v0 in v0s]
+    rows = [f"{e},{v0},{labels[i * len(v0_text) + j]},{is_open[i]}"
+            for i, e in enumerate(e_text) for j, v0 in enumerate(v0_text)]
+    print("\n".join(["E,V0,regime,open", *rows]))
     return EXIT_OK
 
 
@@ -353,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=_spin, help="incoming spin")
     p.add_argument("--columns", help="comma-separated subset of output columns")
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--jobs", type=int, default=None, help="parallel evaluations (default 1)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSpinIndex, OscillatorRange
-from .states import ChannelParams, Regime, Spin, classify
+from .states import EVANESCENT, ChannelParams, Spin, regime_codes
 
 #: Largest oscillator index accepted by eval_oscillator.  The normalized
 #: three-term recurrence is forward-stable; the cap keeps the classical
@@ -85,26 +85,42 @@ def level_energy(spin: Spin, n: int, cp: float, b: float, V: float = 0.0) -> flo
     return math.sqrt(cp * cp + 1.0 + c) + V
 
 
+def _cp(E, C):
+    return np.sqrt(E * E - 1.0 - C)
+
+
+def longitudinal_momenta(E, V0, C, regime):
+    """Longitudinal momenta (cp, cq) over arrays, regime from regime_codes.
+
+    cp^2 = E^2 - 1 - C on the V = 0 side and cq^2 = (E - V0)^2 - 1 - C
+    on the step side, C = 2 b n.  Branch convention: in the propagating
+    regimes cq carries the sign of E - V0, so the transmitted group
+    velocity cq/(E - V0) points away from the step; in the evanescent
+    regime cq = +i|cq| so the wave decays for z > 0.
+    """
+    cp = _cp(E, C)
+    ebar = E - V0
+    q2 = ebar * ebar - 1.0 - C
+    evanescent = regime == EVANESCENT
+    mag = np.sqrt(np.maximum(np.where(evanescent, -q2, q2), 0.0))
+    cq = np.empty(np.shape(mag), dtype=complex)
+    cq.real = np.where(evanescent, 0.0, np.where(ebar > 0.0, mag, -mag))
+    cq.imag = np.where(evanescent, mag, 0.0)
+    return cp, cq
+
+
 def momentum_left(params: ChannelParams) -> float:
     """Longitudinal momentum cp on the V = 0 side, cp^2 = E^2 - 1 - 2bn.
 
     Positive by construction: ChannelParams guarantees an open channel.
     """
-    return math.sqrt(params.E * params.E - 1.0 - params.C)
+    return float(_cp(params.E, params.C))
 
 
 def momentum_right(params: ChannelParams) -> complex:
     """Longitudinal momentum cq on the step side, cq^2 = (E-V0)^2 - 1 - 2bn.
 
-    Branch convention: in the propagating regimes cq carries the sign of
-    E - V0, so the transmitted group velocity cq/(E - V0) points away
-    from the step; in the evanescent regime cq = +i|cq| so the wave
-    decays for z > 0.
+    Branch rule as in longitudinal_momenta.
     """
-    ebar = params.E - params.V0
-    q2 = ebar * ebar - 1.0 - params.C
-    regime = classify(params)
-    if regime is Regime.CASE_III:
-        return complex(0.0, math.sqrt(max(-q2, 0.0)))
-    mag = math.sqrt(max(q2, 0.0))
-    return complex(mag if ebar > 0.0 else -mag, 0.0)
+    E, V0, C = params.E, params.V0, params.C
+    return complex(longitudinal_momenta(E, V0, C, regime_codes(E, V0, C))[1])

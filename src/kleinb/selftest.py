@@ -13,12 +13,19 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scattering import amplitudes, current_budget, solve_boundary_system
-from .states import ChannelParams, Regime, Spin, make_channel
+from .scattering import (
+    BatchAmplitudes,
+    amplitudes,
+    amplitudes_batch,
+    channel_arrays,
+    solve_boundary_batch,
+    solve_boundary_system,
+)
+from .states import EVANESCENT, ChannelParams, Spin, make_channel
 
 DEFAULT_SEED = 20240913
 SEED_ENV_VAR = "KLEINB_SEED"
@@ -75,79 +82,100 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
+@dataclass(frozen=True)
+class GridBatch:
+    """A parameter grid as arrays, with its closed-form amplitudes and
+    budgets evaluated once (one amplitudes_batch call)."""
+
+    E: np.ndarray
+    V0: np.ndarray
+    b: np.ndarray
+    n: np.ndarray
+    spin: np.ndarray
+    amps: BatchAmplitudes
+
+    @classmethod
+    def of(cls, grid: list[ChannelParams]) -> GridBatch:
+        arrays = channel_arrays(grid)
+        return cls(*arrays, amplitudes_batch(*arrays))
+
+    def __len__(self) -> int:
+        return self.E.size
+
+    def __getitem__(self, index) -> GridBatch:
+        """Sub-grid (slice or mask), without re-evaluating."""
+        a = self.amps
+        amps = BatchAmplitudes(*(getattr(a, f.name)[index] for f in fields(a)))
+        return GridBatch(self.E[index], self.V0[index], self.b[index], self.n[index],
+                         self.spin[index], amps)
+
+
+def _deviation(closed: np.ndarray, solved: np.ndarray) -> np.ndarray:
+    """Scaled max component difference between closed forms and solver,
+    both of shape (4, N) holding (R, Rp, T, Tp)."""
+    scale = np.maximum(1.0, np.abs(closed).max(axis=0))
+    return np.abs(closed - solved).max(axis=0) / scale
+
+
 def amplitude_deviation(params: ChannelParams) -> float:
     """Scaled max component difference between closed form and solver."""
     a = amplitudes(params)
     s = solve_boundary_system(params)
-    scale = max(1.0, abs(a.R), abs(a.Rp), abs(a.T), abs(a.Tp))
-    return max(
-        abs(a.R - s.R), abs(a.Rp - s.Rp), abs(a.T - s.T), abs(a.Tp - s.Tp)
-    ) / scale
+    return float(_deviation(np.array([[a.R], [a.Rp], [a.T], [a.Tp]]),
+                            np.array([[s.R], [s.Rp], [s.T], [s.Tp]]))[0])
 
 
-def check_unitarity(grid: list[ChannelParams], tol: float = 1e-12) -> CheckResult:
+def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     """Sum of the four current fractions is 1 at every grid point."""
-    worst = max(abs(current_budget(p).sum - 1.0) for p in grid)
+    worst = float(np.abs(grid.amps.sum - 1.0).max(initial=0.0))
     return CheckResult(
         "current conservation", worst < tol,
         f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})",
     )
 
 
-def check_oracle(grid: list[ChannelParams], tol: float = 1e-12) -> CheckResult:
+def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     """Closed forms match the 4x4 boundary solve component-wise."""
-    worst = max(amplitude_deviation(p) for p in grid)
+    a = grid.amps
+    solved, failed = solve_boundary_batch(grid.E, grid.V0, grid.b, grid.n, grid.spin)
+    deviation = _deviation(np.stack([a.R, a.Rp, a.T, a.Tp]), np.moveaxis(solved, -1, 0))
+    worst = float(np.where(failed, np.inf, deviation).max(initial=0.0))
     return CheckResult(
         "boundary-solve agreement", worst < tol,
         f"max component deviation = {worst:.3e} over {len(grid)} points (tol {tol:g})",
     )
 
 
-def check_field_free(grid: list[ChannelParams], tol: float = 1e-13) -> CheckResult:
+def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     """b = 0: flips vanish exactly, R matches the kappa closed form,
     and the evanescent regime reflects totally."""
-    worst_r = 0.0
-    worst_total = 0.0
-    flips_zero = True
-    count = 0
-    for p in grid:
-        if p.field.b != 0.0:
-            continue
-        count += 1
-        a = amplitudes(p)
-        flips_zero &= a.Rp == 0.0 and a.Tp == 0.0
-        # independent route: R = (1 - kappa)/(1 + kappa)
-        cp = math.sqrt(p.E * p.E - 1.0)
-        ebar = p.E - p.V0
-        q2 = ebar * ebar - 1.0
-        if q2 >= 0.0:
-            cq = complex(math.copysign(math.sqrt(q2), ebar), 0.0)
-        else:
-            cq = complex(0.0, math.sqrt(-q2))
-        kappa = cq * (p.E + 1.0) / (cp * (p.E + 1.0 - p.V0))
-        worst_r = max(worst_r, abs(a.R - (1.0 - kappa) / (1.0 + kappa)))
-        if a.regime is Regime.CASE_III:
-            worst_total = max(worst_total, abs(abs(a.R) ** 2 - 1.0))
+    g = grid[grid.b == 0.0]
+    a = g.amps
+    flips_zero = bool(np.all(a.Rp == 0.0) and np.all(a.Tp == 0.0))
+    # independent route: R = (1 - kappa)/(1 + kappa)
+    cp = np.sqrt(g.E * g.E - 1.0)
+    ebar = g.E - g.V0
+    q2 = ebar * ebar - 1.0
+    root = np.sqrt(np.abs(q2))
+    cq = np.where(q2 >= 0.0, np.copysign(root, ebar) + 0j, 1j * root)
+    kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
+    worst_r = float(np.abs(a.R - (1.0 - kappa) / (1.0 + kappa)).max(initial=0.0))
+    evanescent = a.regime == EVANESCENT
+    worst_total = float(np.abs(np.abs(a.R[evanescent]) ** 2 - 1.0).max(initial=0.0))
     ok = flips_zero and worst_r < tol and worst_total < 1e-14
     return CheckResult(
         "field-free reduction", ok,
-        f"{count} points: flips exactly zero = {flips_zero}, "
+        f"{len(g)} points: flips exactly zero = {flips_zero}, "
         f"max |R - (1-k)/(1+k)| = {worst_r:.3e}, max ||R|^2 - 1| (evanescent) = {worst_total:.3e}",
     )
 
 
-def check_lowest_state_noflip(grid: list[ChannelParams]) -> CheckResult:
+def check_lowest_state_noflip(grid: GridBatch) -> CheckResult:
     """(down, n = 0) never produces flip amplitudes, for any E, V0, b."""
-    ok = True
-    count = 0
-    for p in grid:
-        if p.n != 0:
-            continue
-        count += 1
-        a = amplitudes(p)
-        ok &= a.Rp == 0.0 and a.Tp == 0.0
+    a = grid[grid.n == 0].amps
+    ok = bool(np.all(a.Rp == 0.0) and np.all(a.Tp == 0.0))
     return CheckResult(
-        "lowest-state no-flip", ok, f"flip amplitudes exactly zero at all {count} n = 0 points"
+        "lowest-state no-flip", ok, f"flip amplitudes exactly zero at all {a.R.size} n = 0 points"
     )
 
 
@@ -156,7 +184,7 @@ def check_flip_scaling(
 ) -> CheckResult:
     """|Rp| scales as b^(1/2) as b -> 0 (log-log slope 0.5)."""
     bs = np.logspace(-8, -4, 9)
-    mags = [abs(amplitudes(make_channel(e, v0, float(b), Spin.UP, n)).Rp) for b in bs]
+    mags = np.abs(amplitudes_batch(e, v0, bs, n, Spin.UP).Rp)
     slope = float(np.polyfit(np.log(bs), np.log(mags), 1)[0])
     return CheckResult(
         "flip-amplitude field scaling", abs(slope - 0.5) < tol,
@@ -164,34 +192,28 @@ def check_flip_scaling(
     )
 
 
-def check_spin_symmetry(grid: list[ChannelParams], tol: float = 1e-14) -> CheckResult:
+def check_spin_symmetry(grid: GridBatch, tol: float = 1e-14) -> CheckResult:
     """(up, n) and (down, n) give identical budgets and opposite flip signs."""
-    worst = 0.0
-    signs_ok = True
-    count = 0
-    for p in grid:
-        if p.n == 0:
-            continue
-        count += 1
-        up = make_channel(p.E, p.V0, p.field.b, Spin.UP, p.n)
-        down = make_channel(p.E, p.V0, p.field.b, Spin.DOWN, p.n)
-        bu, bd = current_budget(up), current_budget(down)
-        worst = max(
-            worst,
-            abs(bu.refl_same - bd.refl_same), abs(bu.refl_flip - bd.refl_flip),
-            abs(bu.trans_same - bd.trans_same), abs(bu.trans_flip - bd.trans_flip),
-        )
-        au, ad = amplitudes(up), amplitudes(down)
-        signs_ok &= ad.Rp == -au.Rp and ad.Tp == -au.Tp and ad.R == au.R and ad.T == au.T
+    g = grid[grid.n != 0]
+    up = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.UP)
+    down = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.DOWN)
+    worst = max(
+        (float(np.abs(getattr(up, f) - getattr(down, f)).max(initial=0.0))
+         for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")),
+    )
+    signs_ok = bool(
+        np.all(down.Rp == -up.Rp) and np.all(down.Tp == -up.Tp)
+        and np.all(down.R == up.R) and np.all(down.T == up.T)
+    )
     return CheckResult(
         "up/down symmetry", worst < tol and signs_ok,
-        f"max budget difference = {worst:.3e} over {count} pairs, exact sign flip = {signs_ok}",
+        f"max budget difference = {worst:.3e} over {len(g)} pairs, exact sign flip = {signs_ok}",
     )
 
 
 def run(points: int = 10000, seed: int | None = None) -> list[CheckResult]:
     """Run the full seeded suite; returns one result per check."""
-    grid = sample_grid(points, seed)
+    grid = GridBatch.of(sample_grid(points, seed))
     return [
         check_unitarity(grid),
         check_oracle(grid),

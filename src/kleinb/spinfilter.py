@@ -56,8 +56,12 @@ class FilterSetup:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InvalidSpinIndex(f"the filter needs a degenerate pair, n >= 1, got {self.n!r}")
-        if self.b < 0.0:
-            raise NegativeField(f"field ratio b must be >= 0, got {self.b}")
+        if not (math.isfinite(self.b) and self.b >= 0.0):
+            raise NegativeField(f"field ratio b must be finite and >= 0, got {self.b}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"g-factor must be finite, got {self.g}")
+        if self.V0 is not None and not math.isfinite(self.V0):
+            raise ValueError(f"step height must be finite, got {self.V0}")
         if not (math.isfinite(self.E) and self.E > 0.0):
             raise ValueError(f"total energy must be finite and > 0, got {self.E}")
         if not (math.isfinite(self.distance) and self.distance >= 0.0):

@@ -19,6 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ClosedChannel, InvalidSpinIndex, NegativeField
 
 #: Marker for the unit convention used throughout the package.
@@ -47,6 +49,12 @@ class Regime(enum.Enum):
     CASE_I = "I"
     CASE_II = "II"
     CASE_III = "III"
+
+
+#: The regimes in the order of the integer codes returned by regime_codes.
+REGIMES = (Regime.CASE_I, Regime.CASE_II, Regime.CASE_III)
+#: regime_codes value of the evanescent regime.
+EVANESCENT = REGIMES.index(Regime.CASE_III)
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,16 @@ class ChannelParams:
         return math.sqrt(1.0 + self.C)
 
 
+def parse_spin(spin: Spin | str) -> Spin:
+    """Spin from a Spin member or a case-insensitive 'up'/'down' string."""
+    if isinstance(spin, str):
+        try:
+            return Spin(spin.lower())
+        except ValueError:
+            raise ValueError(f"spin must be 'up' or 'down', got {spin!r}") from None
+    return spin
+
+
 def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> ChannelParams:
     """Build validated ChannelParams.
 
@@ -145,21 +163,22 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
     n < 0, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
     non-finite or out-of-range E, V0.
     """
-    if isinstance(spin, str):
-        try:
-            spin = Spin(spin.lower())
-        except ValueError:
-            raise ValueError(f"spin must be 'up' or 'down', got {spin!r}") from None
     return ChannelParams(
-        E=float(E), V0=float(V0), field=FieldStrength(float(b)), state=IncomingState(spin, n)
+        E=float(E), V0=float(V0), field=FieldStrength(float(b)),
+        state=IncomingState(parse_spin(spin), n),
     )
+
+
+def regime_codes(E, V0, C):
+    """Regime rule over arrays: per element, the index into REGIMES.
+
+    With M_n = sqrt(1 + C): CASE_I where V0 - M_n > E, CASE_II where
+    E > V0 + M_n, CASE_III otherwise (the equalities included).
+    """
+    m = np.sqrt(1.0 + C)
+    return np.where(V0 - m > E, 0, np.where(E > V0 + m, 1, EVANESCENT))
 
 
 def classify(params: ChannelParams) -> Regime:
     """Regime of the transmitted wave for the given parameters."""
-    m = params.channel_mass
-    if params.V0 - m > params.E:
-        return Regime.CASE_I
-    if params.E > params.V0 + m:
-        return Regime.CASE_II
-    return Regime.CASE_III
+    return REGIMES[int(regime_codes(params.E, params.V0, params.C))]

@@ -21,14 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge
-from .landau import eval_oscillator, momentum_left, momentum_right
-from .scattering import ScatterAmplitudes, amplitudes
-from .states import ChannelParams, Spin
+from .landau import eval_oscillator, momentum_left
+from .scattering import ScatterAmplitudes, amplitudes, point_kinematics, spinor_table
+from .states import ChannelParams
 
 #: Resource guard: ny * nz may not exceed this.
 MAX_GRID_POINTS = 4_000_000
 
 _MAGIC = b"KLBFIELD"
+GRID_VERSION = 1
 _HEADER = struct.Struct("<8sII II ddddd")  # magic, version, kind, ny, nz, dy, dz, y0, ystart, zstart
 GRID_KIND_DENSITY = 0
 GRID_KIND_COMPONENTS = 1
@@ -57,43 +58,27 @@ class SpinorField:
 def _pieces(params: ChannelParams, amps: ScatterAmplitudes):
     """Wave pieces as (coefficient 4-vector, k_z, side) with side -1/+1.
 
-    Coefficient vectors are the raw spinor coefficients times the left
-    normalization 1/sqrt(2*eps*E); the transmitted ones are rescaled by
-    tau = T/w so both sides share the left normalization.
+    Coefficient vectors are the rows of scattering.spinor_table times
+    the left normalization 1/sqrt(2*eps*E); the transmitted ones are
+    rescaled by tau = T/w so both sides share the left normalization.
     """
-    E, V0 = params.E, params.V0
-    cp = momentum_left(params)
-    cq = momentum_right(params)
-    rc = math.sqrt(params.C)
-    eps = E + 1.0
-    eps_bar = eps - V0
-    ebar = E - V0
-    nl = 1.0 / math.sqrt(2.0 * eps * E)
-    w = math.sqrt(abs(eps_bar * ebar) / (eps * E))
+    k = point_kinematics(params)
+    table = spinor_table(k)[0]
+    cp, cq = float(k.cp[0]), complex(k.cq[0])
+    nl, w = float(k.nl[0]), float(k.w[0])
     if w > 0.0:
         tau, tau_p = amps.T / w, amps.Tp / w
     else:
         # degenerate normalization at E = V0: continue the transmitted
         # coefficients through the first two boundary conditions
-        tau, tau_p = eps / eps_bar * (1.0 + amps.R), eps / eps_bar * amps.Rp
-    if params.spin is Spin.UP:
-        vec_in = np.array([eps, 0.0, cp, rc], dtype=complex)
-        vec_r = np.array([eps, 0.0, -cp, rc], dtype=complex)
-        vec_rp = np.array([0.0, eps, rc, cp], dtype=complex)
-        vec_t = np.array([eps_bar, 0.0, cq, rc], dtype=complex)
-        vec_tp = np.array([0.0, eps_bar, rc, -cq], dtype=complex)
-    else:
-        vec_in = np.array([0.0, eps, rc, -cp], dtype=complex)
-        vec_r = np.array([0.0, eps, rc, cp], dtype=complex)
-        vec_rp = np.array([eps, 0.0, -cp, rc], dtype=complex)
-        vec_t = np.array([0.0, eps_bar, rc, -cq], dtype=complex)
-        vec_tp = np.array([eps_bar, 0.0, cq, rc], dtype=complex)
+        ratio = float(k.eps[0]) / float(k.eps_bar[0])
+        tau, tau_p = ratio * (1.0 + amps.R), ratio * amps.Rp
     return [
-        (nl * vec_in, complex(cp), -1),
-        (amps.R * nl * vec_r, complex(-cp), -1),
-        (amps.Rp * nl * vec_rp, complex(-cp), -1),
-        (tau * nl * vec_t, cq, +1),
-        (tau_p * nl * vec_tp, cq, +1),
+        (nl * table[0], complex(cp), -1),
+        (amps.R * nl * table[1], complex(-cp), -1),
+        (amps.Rp * nl * table[2], complex(-cp), -1),
+        (tau * nl * table[3], cq, +1),
+        (tau_p * nl * table[4], cq, +1),
     ]
 
 
@@ -236,7 +221,7 @@ def save_grid(path, field: SpinorField, what: str = "density") -> None:
     dy = float(field.y[1] - field.y[0]) if field.y.size > 1 else 0.0
     dz = float(field.z[1] - field.z[0]) if field.z.size > 1 else 0.0
     header = _HEADER.pack(
-        _MAGIC, 1, kind, field.y.size, field.z.size,
+        _MAGIC, GRID_VERSION, kind, field.y.size, field.z.size,
         dy, dz, field.y0, float(field.y[0]), float(field.z[0]),
     )
     assert len(header) == 64
@@ -250,21 +235,33 @@ def load_grid(path):
 
     Returns (info, array) where info is a dict of the header fields and
     array has shape (ny, nz) for a density payload or (4, ny, nz) for a
-    components payload.
+    components payload.  Raises ValueError for a bad magic, a format
+    version other than GRID_VERSION, an unknown payload kind, or a
+    payload whose length does not match the header.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"not a kleinb grid file: {len(header)}-byte header")
         magic, version, kind, ny, nz, dy, dz, y0, ystart, zstart = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"not a kleinb grid file: bad magic {magic!r}")
-        info = {
-            "version": version, "kind": kind, "ny": ny, "nz": nz,
-            "dy": dy, "dz": dz, "y0": y0, "y_start": ystart, "z_start": zstart,
-        }
+        if version != GRID_VERSION:
+            raise ValueError(f"unsupported grid format version {version} (expected {GRID_VERSION})")
         if kind == GRID_KIND_DENSITY:
-            data = np.frombuffer(fh.read(), dtype=np.float64).reshape(ny, nz)
+            dtype, shape = np.float64, (ny, nz)
         elif kind == GRID_KIND_COMPONENTS:
-            data = np.frombuffer(fh.read(), dtype=np.complex128).reshape(4, ny, nz)
+            dtype, shape = np.complex128, (4, ny, nz)
         else:
             raise ValueError(f"unknown payload kind {kind}")
-    return info, data
+        payload = fh.read()
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise ValueError(
+            f"grid payload has {len(payload)} bytes, header {ny} x {nz} needs {expected}"
+        )
+    info = {
+        "version": version, "kind": kind, "ny": ny, "nz": nz,
+        "dy": dy, "dz": dz, "y0": y0, "y_start": ystart, "z_start": zstart,
+    }
+    return info, np.frombuffer(payload, dtype=dtype).reshape(shape)

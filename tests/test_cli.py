@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kleinb import Spin, amplitudes, current_budget, load_grid, make_channel
+from kleinb import Spin, amplitudes, classify, current_budget, load_grid, make_channel
 from kleinb.cli import main
 
 
@@ -164,14 +164,18 @@ class TestSweep:
         assert code == 0
         assert len(out2.strip().splitlines()) == 4
 
-    def test_parallel_output_is_deterministic(self, capsys):
-        argv = ["sweep", "--axis", "V0", "--start", "0", "--stop", "8", "--count", "33",
-                "--E", "2", "--b", "0.2", "--n", "1", "--spin", "up"]
-        code, serial, _ = run_cli(capsys, *argv)
-        assert code == 0
-        code, parallel, _ = run_cli(capsys, *argv, "--jobs", "4")
-        assert code == 0
-        assert serial == parallel
+    def test_non_integral_n_axis_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "1,1.4,1.6",
+            "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "down",
+        )
+        assert code == 2 and out == ""
+        assert "1.4" in err
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "1,2.0",
+            "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "down",
+        )
+        assert code == 0 and len(out.strip().splitlines()) == 3
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
@@ -201,6 +205,35 @@ class TestRegimeMap:
         assert len(lines) == 17
         regimes = {line.split(",")[2] for line in lines[1:]}
         assert regimes == {"I", "II", "III"}
+
+    def test_matches_classify_on_threshold_equalities(self, capsys):
+        # b n = 1.5 gives M = 2 exactly; the half-integer grids then hold
+        # exact points with E = V0 + M and E = V0 - M (both CASE_III)
+        b, n, m = 0.5, 3, 2.0
+        code, out, _ = run_cli(
+            capsys, "regime-map", "--E-start", "1", "--E-stop", "6", "--E-count", "11",
+            "--V0-start", "0", "--V0-stop", "9", "--V0-count", "19",
+            "--b", repr(b), "--n", str(n),
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 11 * 19
+        equalities = 0
+        for line in lines[1:]:
+            e_text, v0_text, regime, is_open = line.split(",")
+            e, v0 = float(e_text), float(v0_text)
+            assert is_open == str(int(e * e > 1.0 + 2.0 * b * n))
+            if is_open == "1":
+                assert regime == classify(make_channel(e, v0, b, "down", n)).value
+            equalities += abs(e - v0) == m
+        assert equalities >= 10
+
+    def test_invalid_field_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "regime-map", "--E-start", "1", "--E-stop", "2",
+            "--V0-start", "0", "--V0-stop", "1", "--b", "-0.1", "--n", "1",
+        )
+        assert code == 2 and "NegativeField" in err
 
 
 class TestFieldCommand:

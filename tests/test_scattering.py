@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from kleinb import (
     ClosedChannel,
+    InvalidSpinIndex,
     Regime,
     SingularMatrix,
     SingularStep,
     Spin,
     amplitudes,
+    amplitudes_batch,
     current_budget,
     h0_amplitudes,
     kinematic_factor,
@@ -20,9 +22,12 @@ from kleinb import (
     make_channel,
     momentum_left,
     momentum_right,
+    solve_boundary_batch,
     solve_boundary_system,
 )
+from kleinb.scattering import channel_arrays
 from kleinb.selftest import amplitude_deviation
+from kleinb.states import REGIMES
 
 
 def kappa_reference(e, v0, b, n):
@@ -303,3 +308,88 @@ class TestMomentumConsistency:
             assert k.cq == momentum_right(p)
             want = k.cq * k.eps / (k.cp * k.eps_bar)
             assert cmath.isclose(k.kappa, want, rel_tol=1e-15, abs_tol=0.0)
+
+
+def _edge_point(kind, n, spin_up, b, margin, v0, delta):
+    """A point on one of the edges of the domain, displaced by delta."""
+    m = math.sqrt(1.0 + 2 * b * n)
+    e = m * (1.0 + margin)
+    if kind == "generic":
+        pass
+    elif kind == "channel":
+        e = m * (1.0 + abs(delta))
+    elif kind == "above":       # E = V0 + M_n
+        v0 = e - m * (1.0 + delta)
+    elif kind == "inside":      # E = V0 - M_n
+        v0 = e + m * (1.0 + delta)
+    else:                       # the sliver V0 = E + 1, SingularStep within 1e-12
+        v0 = (e + 1.0) * (1.0 + delta)
+    return e, v0, b, n, "up" if (spin_up and n >= 1) else "down"
+
+
+edge_points = st.lists(
+    st.builds(
+        _edge_point,
+        kind=st.sampled_from(["generic", "channel", "above", "inside", "sliver"]),
+        n=st.integers(0, 20),
+        spin_up=st.booleans(),
+        b=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        margin=st.floats(1e-3, 5.0),
+        v0=st.floats(0.0, 30.0),
+        delta=st.one_of(st.just(0.0), st.floats(-1e-10, 1e-10)),
+    ),
+    min_size=1, max_size=24,
+)
+
+
+class TestBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(points=edge_points)
+    def test_bit_identical_to_scalar(self, points):
+        channels = []
+        for e, v0, b, n, spin in points:
+            try:
+                channels.append(make_channel(e, v0, b, spin, n))
+            except (ClosedChannel, ValueError):
+                continue  # outside the channel domain (negative V0, closed channel)
+        if not channels:
+            return
+        batch = amplitudes_batch(*channel_arrays(channels))
+        for i, p in enumerate(channels):
+            if batch.singular[i]:
+                with pytest.raises(SingularStep):
+                    amplitudes(p)
+                assert np.isnan(batch.R[i]) and np.isnan(batch.sum[i])
+                continue
+            a, bud = amplitudes(p), current_budget(p)
+            assert REGIMES[batch.regime[i]] is a.regime
+            assert (batch.R[i], batch.Rp[i], batch.T[i], batch.Tp[i]) == (a.R, a.Rp, a.T, a.Tp)
+            assert (batch.refl_same[i], batch.refl_flip[i], batch.trans_same[i],
+                    batch.trans_flip[i], batch.sum[i]) == (
+                bud.refl_same, bud.refl_flip, bud.trans_same, bud.trans_flip, bud.sum)
+
+    def test_oracle_matches_scalar_solve_on_seeded_grid(self, param_grid):
+        solved, failed = solve_boundary_batch(*channel_arrays(param_grid))
+        assert not failed.any()
+        for p, row in zip(param_grid, solved):
+            s = solve_boundary_system(p)
+            assert tuple(row) == (s.R, s.Rp, s.T, s.Tp)
+
+    def test_broadcasting(self):
+        e = np.array([[2.0], [3.0]])
+        v0 = np.array([0.5, 6.0, 3.0])
+        batch = amplitudes_batch(e, v0, 0.2, 1, "down")
+        assert batch.R.shape == batch.singular.shape == batch.sum.shape == (2, 3)
+        assert batch.singular[0, 2] and not batch.singular.ravel()[[0, 1, 3, 4, 5]].any()
+        a = amplitudes(make_channel(3.0, 6.0, 0.2, Spin.DOWN, 1))
+        assert batch.T[1, 1] == a.T and REGIMES[batch.regime[1, 1]] is a.regime
+
+    def test_invalid_point_raises_typed_error(self):
+        with pytest.raises(ClosedChannel, match=r"point \(1,\)"):
+            amplitudes_batch([2.0, 1.0], 3.0, 0.0, 0, "down")
+        with pytest.raises(InvalidSpinIndex, match=r"point \(0,\)"):
+            amplitudes_batch(2.0, [1.0, 2.0], 0.1, [0.5, 1], "down")
+        with pytest.raises(InvalidSpinIndex):
+            amplitudes_batch(2.0, 1.0, 0.1, [1, 0], "up")
+        with pytest.raises(ValueError):
+            amplitudes_batch([2.0, np.nan], 1.0, 0.1, 1, "down")

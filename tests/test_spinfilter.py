@@ -48,6 +48,15 @@ class TestSplitMomenta:
         with pytest.raises(ValueError):
             FilterSetup(E=2.0, n=1, b=0.1, branch=Branch.TRANSMITTED)  # V0 missing
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(NegativeField):
+            setup(b=bad)
+        with pytest.raises(ValueError):
+            setup(g=bad)
+        with pytest.raises(ValueError):
+            setup(branch=Branch.TRANSMITTED, V0=bad)
+
 
 class TestArrivalDelay:
     def test_zero_at_g2(self):

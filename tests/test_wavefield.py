@@ -174,6 +174,29 @@ class TestGridFiles:
         with pytest.raises(ValueError):
             load_grid(path)
 
+    def test_bumped_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.bin"
+        save_grid(path, assemble_field(make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1), ny=8, nz=8))
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="version 2"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("what", ["density", "components"])
+    def test_payload_length_checked(self, tmp_path, what):
+        path = tmp_path / "cut.bin"
+        save_grid(path, assemble_field(make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1), ny=8, nz=8),
+                  what=what)
+        raw = path.read_bytes()
+        for payload in (raw[:-8], raw + b"\x00" * 8, raw[:64]):
+            path.write_bytes(payload)
+            with pytest.raises(ValueError, match="payload"):
+                load_grid(path)
+        path.write_bytes(raw[:40])
+        with pytest.raises(ValueError, match="header"):
+            load_grid(path)
+
     def test_unknown_payload_rejected(self, tmp_path):
         p = make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1)
         f = assemble_field(p, ny=8, nz=8)
