@@ -267,6 +267,17 @@ class TestFieldCommand:
         info, data = load_grid(out_bin)
         assert data.shape == (4, 32, 16)
 
+    @pytest.mark.parametrize("flags", [("--ny", "0"), ("--nz", "0"), ("--kx", "1e300")])
+    def test_unusable_grid_exit(self, capsys, tmp_path, flags):
+        out_bin = tmp_path / "g.bin"
+        code, _, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "1", "--b", "0.2", "--n", "1",
+            "--spin", "down", "--csv", "", "--out", str(out_bin), *flags,
+        )
+        assert code == 2
+        assert err.startswith("error: ValueError")
+        assert not out_bin.exists()
+
 
 class TestKleinLimitCommand:
     def test_field_free_anchor(self, capsys):

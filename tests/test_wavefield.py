@@ -20,7 +20,37 @@ from kleinb import (
     momentum_right,
     save_grid,
 )
+from kleinb.landau import eval_oscillator
 from kleinb.selftest import sample_params
+from kleinb.wavefield import _pieces
+
+
+def reference_field(params, y, z, y0=0.0):
+    """Direct per-piece sum: every piece on its own side, every component.
+
+    Returns the (4, ny, nz) values, the one-sided limits at z = 0 and,
+    per side, the largest sum of the magnitudes of the terms there.
+    """
+    amps = amplitudes(params)
+    if params.field.b == 0.0:
+        lo = np.zeros_like(y) if params.n == 0 else np.ones_like(y)
+        hi = np.ones_like(y)
+    else:
+        xi = (y - y0) / params.field.magnetic_length
+        lo, hi = eval_oscillator(params.n - 1, xi), eval_oscillator(params.n, xi)
+    trans = (lo, hi, lo, hi)
+    values = np.zeros((4, y.size, z.size), dtype=complex)
+    edges = [np.zeros((4, y.size), dtype=complex) for _ in range(2)]
+    magnitudes = [np.zeros((4, y.size)) for _ in range(2)]
+    left = z < 0.0
+    for coeff, kz, side in _pieces(params, amps):
+        mask = left if side < 0 else ~left
+        phase = np.exp(1j * kz * z[mask])
+        for i in range(4):
+            values[i][:, mask] += coeff[i] * trans[i][:, None] * phase[None, :]
+            edges[side > 0][i] += coeff[i] * trans[i]
+            magnitudes[side > 0][i] += abs(coeff[i]) * np.abs(trans[i])
+    return values, edges, [m.max() for m in magnitudes]
 
 
 def incident_only(params):
@@ -91,6 +121,67 @@ class TestAssembly:
         integrated = np.trapezoid(f.density()[:, mask], f.y, axis=0)
         slope = np.polyfit(f.z[mask], np.log(integrated), 1)[0]
         assert slope == pytest.approx(-2.0 * q_mag, rel=0.01)
+
+
+class TestSeparableAssembly:
+    @staticmethod
+    def assert_matches_reference(p, k_x=0.0):
+        f = assemble_field(p, ny=33, nz=24, k_x=k_x)
+        ref, (lo_ref, hi_ref), (lo_mag, hi_mag) = reference_field(p, f.y, f.z, f.y0)
+        assert np.abs(f.values - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the evanescent pieces cancel at z = 0+ (terms ~100x their sum),
+        # so the limits are compared on the scale of the terms summed
+        lo, hi = boundary_values(f)
+        assert np.abs(lo - lo_ref).max() <= 1e-14 * lo_mag
+        assert np.abs(hi - hi_ref).max() <= 1e-14 * hi_mag
+
+    def test_matches_per_piece_sum_on_seeded_grid(self, param_grid):
+        for p in param_grid:
+            self.assert_matches_reference(p)
+
+    @pytest.mark.parametrize("args", [
+        (2.0, 2.0, 0.3, Spin.UP, 1),     # E = V0: degenerate normalization
+        (3.0, 3.0, 0.0, Spin.DOWN, 0),   # E = V0 without a field
+        (2.0, 1.2, 0.0, Spin.DOWN, 0),   # b = 0, Phi_{-1} = 0
+        (2.0, 6.0, 0.0, Spin.UP, 2),     # b = 0, Klein regime
+    ])
+    def test_matches_per_piece_sum_at_special_points(self, args):
+        self.assert_matches_reference(make_channel(*args), k_x=0.4)
+
+
+class TestInputValidation:
+    P = make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1)
+    P_FREE = make_channel(2.0, 1.0, 0.0, Spin.DOWN, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_rejected(self, bad):
+        with pytest.raises(ValueError, match="^z must"):
+            assemble_field(self.P, z=np.array([-1.0, bad, 1.0]), ny=8)
+
+    def test_non_finite_y_rejected_without_field(self):
+        with pytest.raises(ValueError, match="^y must"):
+            assemble_field(self.P_FREE, y=np.array([0.0, math.nan]), nz=8)
+
+    @pytest.mark.parametrize("y", [np.zeros((2, 3)), np.array([]), np.float64(1.0)])
+    def test_axis_must_be_non_empty_1d(self, y):
+        with pytest.raises(ValueError, match="^y must"):
+            assemble_field(self.P, y=y, nz=8)
+
+    @pytest.mark.parametrize("count", [2.7, 0, -3, True, "8"])
+    def test_counts_must_be_positive_integers(self, count):
+        with pytest.raises(ValueError, match="^ny must"):
+            assemble_field(self.P, ny=count, nz=8)
+        with pytest.raises(ValueError, match="^nz must"):
+            assemble_field(self.P, ny=8, nz=count)
+
+    def test_numpy_integer_counts_accepted(self):
+        f = assemble_field(self.P, ny=np.int64(5), nz=np.int32(3))
+        assert f.values.shape == (4, 5, 3)
+
+    def test_guiding_center_overflow_rejected(self):
+        for k_x in (1e308, math.nan):
+            with pytest.raises(ValueError, match="k_x"):
+                assemble_field(self.P, ny=8, nz=8, k_x=k_x)
 
 
 class TestContinuity:
@@ -189,13 +280,33 @@ class TestGridFiles:
         save_grid(path, assemble_field(make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1), ny=8, nz=8),
                   what=what)
         raw = path.read_bytes()
-        for payload in (raw[:-8], raw + b"\x00" * 8, raw[:64]):
+        for payload in (raw[:-8], raw + b"\x00" * 8, raw[:64], raw[:-1], raw + b"\x00"):
             path.write_bytes(payload)
             with pytest.raises(ValueError, match="payload"):
                 load_grid(path)
         path.write_bytes(raw[:40])
         with pytest.raises(ValueError, match="header"):
             load_grid(path)
+
+    @pytest.mark.parametrize("axes", [
+        {"y": np.array([0.0, 1.0, 5.0]), "z": np.array([-1.0, 0.0, 1.0])},
+        {"y": np.array([-1.0, 0.0, 1.0]), "z": np.array([0.0, 1.0, 5.0])},
+        {"y": np.array([2.0, 2.0, 2.0]), "z": np.array([-1.0, 0.0, 1.0])},
+    ])
+    def test_non_uniform_grid_rejected(self, tmp_path, axes):
+        f = assemble_field(make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1), **axes)
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            save_grid(path, f)
+        assert not path.exists()
+
+    def test_offset_linspace_grids_accepted(self, tmp_path):
+        p = make_channel(2.0, 1.0, 0.01, Spin.DOWN, 1)
+        for k_x in (0.0, 1.0, 1e3):
+            f = assemble_field(p, ny=2001, nz=3, k_x=k_x)
+            save_grid(tmp_path / "off.bin", f)
+            info, _ = load_grid(tmp_path / "off.bin")
+            assert info["dy"] == pytest.approx(f.y[1] - f.y[0], rel=1e-9)
 
     def test_unknown_payload_rejected(self, tmp_path):
         p = make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1)
