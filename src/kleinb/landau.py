@@ -86,21 +86,24 @@ def level_energy(spin: Spin, n: int, cp: float, b: float, V: float = 0.0) -> flo
 
 
 def _cp(E, C):
-    return np.sqrt(E * E - 1.0 - C)
+    # (E - 1)(E + 1) keeps full precision where E*E - 1 would cancel
+    return np.sqrt((E - 1.0) * (E + 1.0) - C)
 
 
 def longitudinal_momenta(E, V0, C, regime):
     """Longitudinal momenta (cp, cq) over arrays, regime from regime_codes.
 
     cp^2 = E^2 - 1 - C on the V = 0 side and cq^2 = (E - V0)^2 - 1 - C
-    on the step side, C = 2 b n.  Branch convention: in the propagating
-    regimes cq carries the sign of E - V0, so the transmitted group
-    velocity cq/(E - V0) points away from the step; in the evanescent
-    regime cq = +i|cq| so the wave decays for z > 0.
+    on the step side, C = 2 b n, both evaluated as (x - 1)(x + 1) - C,
+    which is free of the cancellation in x^2 - 1 near |x| = 1.  Branch
+    convention: in the propagating regimes cq carries the sign of
+    E - V0, so the transmitted group velocity cq/(E - V0) points away
+    from the step; in the evanescent regime cq = +i|cq| so the wave
+    decays for z > 0.
     """
     cp = _cp(E, C)
     ebar = E - V0
-    q2 = ebar * ebar - 1.0 - C
+    q2 = (ebar - 1.0) * (ebar + 1.0) - C
     evanescent = regime == EVANESCENT
     mag = np.sqrt(np.maximum(np.where(evanescent, -q2, q2), 0.0))
     cq = np.empty(np.shape(mag), dtype=complex)

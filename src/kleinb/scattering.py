@@ -35,6 +35,7 @@ from .states import (
     REGIMES,
     ChannelParams,
     Spin,
+    channel_open,
     make_channel,
     parse_spin,
     regime_codes,
@@ -257,13 +258,18 @@ def _closed_forms(k: Kinematics) -> np.ndarray:
     return amps
 
 
-def _budget(k: Kinematics, R, Rp):
-    """Current fractions (refl_same, refl_flip, trans_same, trans_flip)."""
+def _budget(k: Kinematics, R, Rp, T):
+    """Current fractions (refl_same, refl_flip, trans_same, trans_flip).
+
+    trans_same = kappa*|1 + R|^2 takes 1 + R from the continuity relation
+    1 + R = T*eps_bar/(w*eps): as R -> -1 (large kappa, next to the
+    singular slice) 1.0 + R would cancel, T does not.
+    """
     refl_same = _abs2(R)
     refl_flip = _abs2(Rp)
     evanescent = k.regime == EVANESCENT
     kappa = _kappa(k).real
-    trans_same = np.where(evanescent, 0.0, kappa * _abs2(1.0 + R))
+    trans_same = np.where(evanescent, 0.0, kappa * _abs2(T * (k.eps_bar / (k.w * k.eps))))
     trans_flip = np.where(evanescent, 0.0, kappa * refl_flip)
     return refl_same, refl_flip, trans_same, trans_flip
 
@@ -318,7 +324,7 @@ def _batch_kinematics(E, V0, b, n, spin) -> tuple[Kinematics, tuple]:
         valid = (
             np.isfinite(E) & np.isfinite(V0) & np.isfinite(b) & (E > 0.0) & (V0 >= 0.0)
             & (b >= 0.0) & (n >= 0.0) & (n == np.floor(n)) & ~(up & (n == 0.0))
-            & (E * E > 1.0 + C)
+            & channel_open(E, C)
         )
     if not valid.all():
         # make_channel names the first invalid point's error
@@ -359,7 +365,7 @@ def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
     k, shape = _batch_kinematics(E, V0, b, n, spin)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         amps = _closed_forms(k)
-        budget = _budget(k, amps[0], amps[1])
+        budget = _budget(k, amps[0], amps[1], amps[2])
     values = (np.where(k.singular, np.nan, x).reshape(shape) for x in (*amps, *budget))
     return BatchAmplitudes(k.regime.reshape(shape), *values, k.singular.reshape(shape))
 
@@ -496,17 +502,19 @@ def current_budget(params: ChannelParams, amps: ScatterAmplitudes | None = None)
 
     Transmitted fractions are the group-velocity-weighted fluxes
     kappa*|1+R|^2 and kappa*|Rp|^2, not |T|^2 and |Tp|^2: only the
-    weighted fluxes obey the conservation sum.  In the evanescent regime
-    the transmitted fractions are exactly 0 and |R|^2 + |Rp|^2 = 1.
+    weighted fluxes obey the conservation sum.  1 + R is evaluated as
+    T*eps_bar/(w*eps), so a given amps must hold a consistent T.  In the
+    evanescent regime the transmitted fractions are exactly 0 and
+    |R|^2 + |Rp|^2 = 1.
     """
     k = point_kinematics(params)
     if amps is None:
         _check_singular(k)
-        R, Rp = _closed_forms(k)[:2]
+        R, Rp, T = _closed_forms(k)[:3]
     else:
-        R, Rp = np.array([amps.R]), np.array([amps.Rp])
+        R, Rp, T = np.array([amps.R]), np.array([amps.Rp]), np.array([amps.T])
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = _budget(k, R, Rp)
+        fractions = _budget(k, R, Rp, T)
     return CurrentBudget(*(float(f[0]) for f in fractions))
 
 

@@ -1,18 +1,19 @@
 """Seeded invariant suite backing the `kleinb selftest` command.
 
 Draws a reproducible random grid of scattering parameters spanning all
-three regimes, both spins, n up to 20 and b up to 1, and checks the
-core identities: current conservation, agreement of the closed forms
-with the boundary-condition solve, the field-free reduction, the
-no-flip anchors, and the up/down symmetry of the budgets.  The seed
-comes from the KLEINB_SEED environment variable unless given
-explicitly.
+three regimes, both spins, n up to 20 and b up to 1, as arrays, and
+checks the core identities over the whole grid at once: current
+conservation, agreement of the closed forms with the boundary-condition
+solve, the field-free reduction, the no-flip anchors, and the up/down
+symmetry of the budgets.  A failing check names its worst point as a
+`kleinb amps` command line.  The seed comes from the KLEINB_SEED
+environment variable unless given explicitly.
 """
 
 from __future__ import annotations
 
-import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +22,6 @@ from .scattering import (
     BatchAmplitudes,
     amplitudes,
     amplitudes_batch,
-    channel_arrays,
     solve_boundary_batch,
     solve_boundary_system,
 )
@@ -39,37 +39,80 @@ def resolve_seed(seed: int | None = None) -> int:
     return int(env) if env else DEFAULT_SEED
 
 
+#: Candidate points drawn per block by sample_grid.  Fixed, so that the
+#: grid of N points is a prefix of the grid of M > N points.
+BLOCK_SIZE = 1024
+
+#: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
+#: complex oracle solve dominates the memory: its spinor table, scaled
+#: matrices and right-hand sides peak at ~1.2 KiB per point, ~1.4 KiB
+#: for the whole run (measured), so a run at the bound peaks near
+#: 0.55 GiB, as a field grid at wavefield.MAX_GRID_POINTS does.
+MAX_SELFTEST_POINTS = 400_000
+
+
+def _draw_block(
+    rng: np.random.Generator,
+    size: int,
+    n_max: int = 20,
+    b_max: float = 1.0,
+    b_zero_fraction: float = 0.15,
+) -> tuple[np.ndarray, ...]:
+    """Draw `size` candidate channels as arrays, stratified uniformly over
+    the regimes (V0 target), with a b = 0 stratum of b_zero_fraction;
+    returns (E, V0, b, n, up) of the candidates off the V0 = E + 1 sliver."""
+    n = rng.integers(0, n_max + 1, size)
+    up = (n != 0) & (rng.random(size) < 0.5)
+    b = np.where(rng.random(size) < b_zero_fraction, 0.0, rng.uniform(0.0, b_max, size))
+    m = np.sqrt(1.0 + 2.0 * b * n)
+    e = m * (1.0 + 10.0 ** rng.uniform(-3.0, 0.7, size))
+    # V0 target: 0 inside the step (Klein), 1 above it, 2 evanescent
+    target = rng.integers(0, 3, size)
+    lo = np.array([0.05, 0.0, 0.001])[target]
+    hi = np.array([2.0, 0.95, 0.999])[target]
+    x = lo + (hi - lo) * rng.random(size)
+    v0 = np.where(target == 0, (e + m) * (1.0 + x),
+                  np.where(target == 1, (e - m) * x, e - m + 2.0 * m * x))
+    # stay clear of the kinematic singularity: the 4x4 boundary solve is
+    # ill conditioned there (cond ~ 1/|eps_bar|), so the closed-form/solver
+    # agreement bound cannot hold on the sliver
+    keep = np.abs(e + 1.0 - v0) >= 2e-3 * (1.0 + v0)
+    return e[keep], v0[keep], b[keep], n[keep], up[keep]
+
+
 def sample_params(
     rng: np.random.Generator,
     n_max: int = 20,
     b_max: float = 1.0,
     b_zero_fraction: float = 0.15,
 ) -> ChannelParams:
-    """One random open channel, stratified uniformly over the regimes."""
+    """One random open channel, drawn by the rule of sample_grid."""
     while True:
-        n = int(rng.integers(0, n_max + 1))
-        spin = Spin.DOWN if n == 0 else (Spin.UP if rng.random() < 0.5 else Spin.DOWN)
-        b = 0.0 if rng.random() < b_zero_fraction else float(rng.uniform(0.0, b_max))
-        m = math.sqrt(1.0 + 2.0 * b * n)
-        e = m * (1.0 + 10.0 ** rng.uniform(-3.0, 0.7))
-        target = int(rng.integers(0, 3))
-        if target == 0:
-            v0 = (e + m) * (1.0 + float(rng.uniform(0.05, 2.0)))
-        elif target == 1:
-            v0 = float((e - m) * rng.uniform(0.0, 0.95))
-        else:
-            v0 = float(e - m + 2.0 * m * rng.uniform(0.001, 0.999))
-        if abs(e + 1.0 - v0) < 2e-3 * (1.0 + v0):
-            # stay clear of the kinematic singularity: the 4x4 boundary
-            # solve is ill conditioned there (cond ~ 1/|eps_bar|), so the
-            # closed-form/solver agreement bound cannot hold on the sliver
-            continue
-        return make_channel(e, v0, b, spin, n)
+        e, v0, b, n, up = _draw_block(rng, 1, n_max, b_max, b_zero_fraction)
+        if e.size:
+            return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, int(n[0]))
 
 
-def sample_grid(points: int, seed: int | None = None) -> list[ChannelParams]:
+def sample_grid(points: int, seed: int | None = None) -> GridBatch:
+    """The seeded grid of `points` random open channels, with their
+    closed-form amplitudes.
+
+    Candidates are drawn in blocks of BLOCK_SIZE (see _draw_block) and
+    the first `points` kept ones form the grid.  Raises ValueError
+    unless 1 <= points <= MAX_SELFTEST_POINTS.
+    """
+    if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
+        raise ValueError(f"selftest points must be an integer, got {points!r}")
+    if not 1 <= points <= MAX_SELFTEST_POINTS:
+        raise ValueError(f"selftest points must be in [1, {MAX_SELFTEST_POINTS}], got {points}")
     rng = np.random.default_rng(resolve_seed(seed))
-    return [sample_params(rng) for _ in range(points)]
+    blocks, kept = [], 0
+    while kept < points:
+        blocks.append(_draw_block(rng, BLOCK_SIZE))
+        kept += blocks[-1][0].size
+    E, V0, b, n, up = (np.concatenate(col)[:points] for col in zip(*blocks))
+    spin = np.where(up, Spin.UP, Spin.DOWN)
+    return GridBatch(E, V0, b, n, spin, amplitudes_batch(E, V0, b, n, spin))
 
 
 @dataclass
@@ -85,7 +128,11 @@ class CheckResult:
 @dataclass(frozen=True)
 class GridBatch:
     """A parameter grid as arrays, with its closed-form amplitudes and
-    budgets evaluated once (one amplitudes_batch call)."""
+    budgets evaluated once (one amplitudes_batch call).
+
+    Indexing with a slice or mask gives a sub-grid without re-evaluating;
+    iterating yields each point as validated ChannelParams.
+    """
 
     E: np.ndarray
     V0: np.ndarray
@@ -94,20 +141,31 @@ class GridBatch:
     spin: np.ndarray
     amps: BatchAmplitudes
 
-    @classmethod
-    def of(cls, grid: list[ChannelParams]) -> GridBatch:
-        arrays = channel_arrays(grid)
-        return cls(*arrays, amplitudes_batch(*arrays))
-
     def __len__(self) -> int:
         return self.E.size
 
     def __getitem__(self, index) -> GridBatch:
-        """Sub-grid (slice or mask), without re-evaluating."""
         a = self.amps
         amps = BatchAmplitudes(*(getattr(a, f.name)[index] for f in fields(a)))
         return GridBatch(self.E[index], self.V0[index], self.b[index], self.n[index],
                          self.spin[index], amps)
+
+    def __iter__(self) -> Iterator[ChannelParams]:
+        for i in range(len(self)):
+            yield make_channel(self.E[i], self.V0[i], self.b[i], self.spin[i], int(self.n[i]))
+
+    def reproducer(self, i: int) -> str:
+        """A `kleinb amps` command line that recomputes point i bit for bit."""
+        return (f"kleinb amps --E {float(self.E[i])!r} --V0 {float(self.V0[i])!r} "
+                f"--b {float(self.b[i])!r} --n {int(self.n[i])} --spin {self.spin[i].value}")
+
+
+def _result(name: str, passed: bool, detail: str, grid: GridBatch, score) -> CheckResult:
+    """Check result; a failure names its worst point, the arg-max of the
+    per-point score."""
+    if not passed and len(grid):
+        detail += f"; worst point: {grid.reproducer(int(np.argmax(score)))}"
+    return CheckResult(name, passed, detail)
 
 
 def _deviation(closed: np.ndarray, solved: np.ndarray) -> np.ndarray:
@@ -127,10 +185,11 @@ def amplitude_deviation(params: ChannelParams) -> float:
 
 def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     """Sum of the four current fractions is 1 at every grid point."""
-    worst = float(np.abs(grid.amps.sum - 1.0).max(initial=0.0))
-    return CheckResult(
+    residual = np.abs(grid.amps.sum - 1.0)
+    worst = float(residual.max(initial=0.0))
+    return _result(
         "current conservation", worst < tol,
-        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})",
+        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})", grid, residual,
     )
 
 
@@ -138,11 +197,14 @@ def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     """Closed forms match the 4x4 boundary solve component-wise."""
     a = grid.amps
     solved, failed = solve_boundary_batch(grid.E, grid.V0, grid.b, grid.n, grid.spin)
-    deviation = _deviation(np.stack([a.R, a.Rp, a.T, a.Tp]), np.moveaxis(solved, -1, 0))
-    worst = float(np.where(failed, np.inf, deviation).max(initial=0.0))
-    return CheckResult(
+    deviation = np.where(
+        failed, np.inf, _deviation(np.stack([a.R, a.Rp, a.T, a.Tp]), np.moveaxis(solved, -1, 0))
+    )
+    worst = float(deviation.max(initial=0.0))
+    return _result(
         "boundary-solve agreement", worst < tol,
         f"max component deviation = {worst:.3e} over {len(grid)} points (tol {tol:g})",
+        grid, deviation,
     )
 
 
@@ -151,31 +213,35 @@ def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     and the evanescent regime reflects totally."""
     g = grid[grid.b == 0.0]
     a = g.amps
-    flips_zero = bool(np.all(a.Rp == 0.0) and np.all(a.Tp == 0.0))
+    flipped = (a.Rp != 0.0) | (a.Tp != 0.0)
     # independent route: R = (1 - kappa)/(1 + kappa)
-    cp = np.sqrt(g.E * g.E - 1.0)
+    cp = np.sqrt((g.E - 1.0) * (g.E + 1.0))
     ebar = g.E - g.V0
-    q2 = ebar * ebar - 1.0
+    q2 = (ebar - 1.0) * (ebar + 1.0)
     root = np.sqrt(np.abs(q2))
     cq = np.where(q2 >= 0.0, np.copysign(root, ebar) + 0j, 1j * root)
     kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
-    worst_r = float(np.abs(a.R - (1.0 - kappa) / (1.0 + kappa)).max(initial=0.0))
-    evanescent = a.regime == EVANESCENT
-    worst_total = float(np.abs(np.abs(a.R[evanescent]) ** 2 - 1.0).max(initial=0.0))
+    err_r = np.abs(a.R - (1.0 - kappa) / (1.0 + kappa))
+    err_total = np.where(a.regime == EVANESCENT, np.abs(np.abs(a.R) ** 2 - 1.0), 0.0)
+    flips_zero = not flipped.any()
+    worst_r = float(err_r.max(initial=0.0))
+    worst_total = float(err_total.max(initial=0.0))
     ok = flips_zero and worst_r < tol and worst_total < 1e-14
-    return CheckResult(
+    return _result(
         "field-free reduction", ok,
         f"{len(g)} points: flips exactly zero = {flips_zero}, "
         f"max |R - (1-k)/(1+k)| = {worst_r:.3e}, max ||R|^2 - 1| (evanescent) = {worst_total:.3e}",
+        g, np.where(flipped, np.inf, np.maximum(err_r / tol, err_total / 1e-14)),
     )
 
 
 def check_lowest_state_noflip(grid: GridBatch) -> CheckResult:
     """(down, n = 0) never produces flip amplitudes, for any E, V0, b."""
-    a = grid[grid.n == 0].amps
-    ok = bool(np.all(a.Rp == 0.0) and np.all(a.Tp == 0.0))
-    return CheckResult(
-        "lowest-state no-flip", ok, f"flip amplitudes exactly zero at all {a.R.size} n = 0 points"
+    g = grid[grid.n == 0]
+    flip = np.abs(g.amps.Rp) + np.abs(g.amps.Tp)
+    return _result(
+        "lowest-state no-flip", not flip.any(),
+        f"flip amplitudes exactly zero at all {len(g)} n = 0 points", g, flip,
     )
 
 
@@ -197,23 +263,28 @@ def check_spin_symmetry(grid: GridBatch, tol: float = 1e-14) -> CheckResult:
     g = grid[grid.n != 0]
     up = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.UP)
     down = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.DOWN)
-    worst = max(
-        (float(np.abs(getattr(up, f) - getattr(down, f)).max(initial=0.0))
-         for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")),
+    diff = np.max(
+        [np.abs(getattr(up, f) - getattr(down, f))
+         for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")],
+        axis=0, initial=0.0,
     )
-    signs_ok = bool(
-        np.all(down.Rp == -up.Rp) and np.all(down.Tp == -up.Tp)
-        and np.all(down.R == up.R) and np.all(down.T == up.T)
-    )
-    return CheckResult(
+    exact = (down.Rp == -up.Rp) & (down.Tp == -up.Tp) & (down.R == up.R) & (down.T == up.T)
+    worst = float(diff.max(initial=0.0))
+    signs_ok = bool(exact.all())
+    return _result(
         "up/down symmetry", worst < tol and signs_ok,
         f"max budget difference = {worst:.3e} over {len(g)} pairs, exact sign flip = {signs_ok}",
+        g, np.where(exact, diff, np.inf),
     )
 
 
 def run(points: int = 10000, seed: int | None = None) -> list[CheckResult]:
-    """Run the full seeded suite; returns one result per check."""
-    grid = GridBatch.of(sample_grid(points, seed))
+    """Run the full seeded suite; returns one result per check.
+
+    Raises ValueError unless 1 <= points <= MAX_SELFTEST_POINTS (checked
+    by sample_grid before any array is built).
+    """
+    grid = sample_grid(points, seed)
     return [
         check_unitarity(grid),
         check_oracle(grid),

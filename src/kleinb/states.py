@@ -122,7 +122,7 @@ class ChannelParams:
             raise ValueError(f"total energy must be > 0, got {self.E}")
         if self.V0 < 0.0:
             raise ValueError(f"step height must be >= 0, got {self.V0}")
-        if self.E * self.E <= 1.0 + self.C:
+        if not channel_open(self.E, self.C):
             raise ClosedChannel(
                 f"channel closed: E^2 = {self.E * self.E:.6g} <= 1 + 2 b n = {1.0 + self.C:.6g}"
             )
@@ -167,6 +167,15 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
         E=float(E), V0=float(V0), field=FieldStrength(float(b)),
         state=IncomingState(parse_spin(spin), n),
     )
+
+
+def channel_open(E, C):
+    """Open-channel rule, scalar or array: cp^2 = (E - 1)(E + 1) - C > 0.
+
+    Written in the cancellation-free form landau uses for cp, so every
+    channel this accepts has cp > 0 in floating point too.
+    """
+    return (E - 1.0) * (E + 1.0) > C
 
 
 def regime_codes(E, V0, C):

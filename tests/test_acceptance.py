@@ -80,8 +80,8 @@ def test_criterion_03_field_free_reduction(big_grid):
         count += 1
         a = amplitudes(p)
         flips_zero &= a.Rp == 0.0 and a.Tp == 0.0
-        cp = math.sqrt(p.E * p.E - 1.0)
-        q2 = (p.E - p.V0) ** 2 - 1.0
+        cp = math.sqrt((p.E - 1.0) * (p.E + 1.0))
+        q2 = (p.E - p.V0 - 1.0) * (p.E - p.V0 + 1.0)
         cq = complex(math.copysign(math.sqrt(q2), p.E - p.V0), 0) if q2 >= 0 \
             else complex(0, math.sqrt(-q2))
         kappa = cq * (p.E + 1.0) / (cp * (p.E + 1.0 - p.V0))

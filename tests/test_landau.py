@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, factorial
@@ -10,6 +11,7 @@ from kleinb import (
     Regime,
     Spin,
     classify,
+    current_budget,
     eval_oscillator,
     level_energy,
     make_channel,
@@ -148,3 +150,41 @@ class TestMomenta:
                 # transmitted group velocity q/(E - V0) points rightward
                 assert q.imag == 0.0
                 assert q.real * (p.E - p.V0) > 0.0
+
+
+class TestThresholdCancellation:
+    """cp and cq next to |x| = 1 at b = 0, where x^2 - 1 would cancel,
+    against a 60-digit reference on the same binary inputs."""
+
+    @staticmethod
+    def reference(E, V0):
+        with mpmath.workdps(60):
+            e, v = mpmath.mpf(E), mpmath.mpf(V0)
+            cp = mpmath.sqrt(e * e - 1)
+            q2 = (e - v) ** 2 - 1
+            cq = mpmath.sqrt(q2) * mpmath.sign(e - v) if q2 > 0 else 1j * mpmath.sqrt(-q2)
+            return cp, cq, e, v
+
+    @pytest.mark.parametrize("delta", [1e-9, 3e-12, -1e-9, -3e-12])
+    def test_step_side_momentum(self, delta):
+        E, V0 = 30.0, 31.0 * (1.0 + delta)
+        _, cq, _, _ = self.reference(E, V0)
+        got = momentum_right(make_channel(E, V0, 0.0, Spin.DOWN, 0))
+        assert abs(got - complex(cq)) <= 1e-15 * abs(complex(cq))
+
+    @pytest.mark.parametrize("delta", [1e-9, 3e-12])
+    def test_transmitted_fraction(self, delta):
+        E, V0 = 30.0, 31.0 * (1.0 + delta)
+        cp, cq, e, v = self.reference(E, V0)
+        with mpmath.workdps(60):
+            kappa = cq * (e + 1) / (cp * (e + 1 - v))
+            trans_same = float(4 * kappa / (1 + kappa) ** 2)
+        got = current_budget(make_channel(E, V0, 0.0, Spin.DOWN, 0)).trans_same
+        assert abs(got - trans_same) <= 1e-13 * trans_same
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-13])
+    def test_left_momentum_near_rest(self, offset):
+        E = 1.0 + offset
+        cp, _, _, _ = self.reference(E, 0.0)
+        got = momentum_left(make_channel(E, 0.0, 0.0, Spin.DOWN, 0))
+        assert abs(got - float(cp)) <= 1e-15 * float(cp)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,21 @@ class TestAssembly:
         p = make_channel(2.0, 6.0, 0.2, Spin.UP, 1)
         f = assemble_field(p, ny=65, nz=65)
         assert np.all(f.density() >= 0.0)
+
+    def test_density_matches_abs_squared(self):
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=300, nz=257)
+        old = np.sum(np.abs(f.values) ** 2, axis=0)
+        assert np.all(np.abs(f.density() - old) <= 4 * np.finfo(float).eps * old)
+
+    def test_density_temporaries_bounded(self):
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=500, nz=500)
+        tracemalloc.start()
+        try:
+            dens = f.density()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - dens.nbytes < 2 * dens.nbytes
 
     def test_grid_guard(self):
         p = make_channel(2.0, 1.0, 0.1, Spin.UP, 1)
