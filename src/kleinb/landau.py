@@ -95,15 +95,20 @@ def longitudinal_momenta(E, V0, C, regime):
 
     cp^2 = E^2 - 1 - C on the V = 0 side and cq^2 = (E - V0)^2 - 1 - C
     on the step side, C = 2 b n, both evaluated as (x - 1)(x + 1) - C,
-    which is free of the cancellation in x^2 - 1 near |x| = 1.  Branch
-    convention: in the propagating regimes cq carries the sign of
-    E - V0, so the transmitted group velocity cq/(E - V0) points away
-    from the step; in the evanescent regime cq = +i|cq| so the wave
-    decays for z > 0.
+    which is free of the cancellation in x^2 - 1 near |x| = 1.  On the
+    step side x = E - V0 is carried as its rounded value plus the exact
+    rounding error, so x -/+ 1 keeps full precision even when the
+    rounding of E - V0 is comparable to |x| - 1.  Branch convention: in
+    the propagating regimes cq carries the sign of E - V0, so the
+    transmitted group velocity cq/(E - V0) points away from the step; in
+    the evanescent regime cq = +i|cq| so the wave decays for z > 0.
     """
     cp = _cp(E, C)
     ebar = E - V0
-    q2 = (ebar - 1.0) * (ebar + 1.0) - C
+    # Knuth's TwoSum: E - V0 == ebar + err exactly
+    v = ebar - E
+    err = (E - (ebar - v)) - (V0 + v)
+    q2 = ((ebar - 1.0) + err) * ((ebar + 1.0) + err) - C
     evanescent = regime == EVANESCENT
     mag = np.sqrt(np.maximum(np.where(evanescent, -q2, q2), 0.0))
     cq = np.empty(np.shape(mag), dtype=complex)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .landau import longitudinal_momenta
 from .scattering import (
     BatchAmplitudes,
     amplitudes,
@@ -45,9 +46,9 @@ BLOCK_SIZE = 1024
 
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
 #: complex oracle solve dominates the memory: its spinor table, scaled
-#: matrices and right-hand sides peak at ~1.2 KiB per point, ~1.4 KiB
-#: for the whole run (measured), so a run at the bound peaks near
-#: 0.55 GiB, as a field grid at wavefield.MAX_GRID_POINTS does.
+#: matrices and right-hand sides peak at ~1.2 KiB per point (tracemalloc)
+#: and run(MAX_SELFTEST_POINTS) peaked at 553 MiB RSS, about what a field
+#: grid at wavefield.MAX_GRID_POINTS takes.
 MAX_SELFTEST_POINTS = 400_000
 
 
@@ -214,12 +215,11 @@ def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     g = grid[grid.b == 0.0]
     a = g.amps
     flipped = (a.Rp != 0.0) | (a.Tp != 0.0)
-    # independent route: R = (1 - kappa)/(1 + kappa)
-    cp = np.sqrt((g.E - 1.0) * (g.E + 1.0))
-    ebar = g.E - g.V0
-    q2 = (ebar - 1.0) * (ebar + 1.0)
-    root = np.sqrt(np.abs(q2))
-    cq = np.where(q2 >= 0.0, np.copysign(root, ebar) + 0j, 1j * root)
+    # independent route for the amplitude algebra: R = (1 - kappa)/(1 + kappa).
+    # The momenta are landau's (checked against 60-digit references in the
+    # test suite); a float re-derivation would cancel near |E - V0| = 1 and
+    # be less accurate than the value it checks.
+    cp, cq = longitudinal_momenta(g.E, g.V0, 0.0, a.regime)
     kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
     err_r = np.abs(a.R - (1.0 - kappa) / (1.0 + kappa))
     err_total = np.where(a.regime == EVANESCENT, np.abs(np.abs(a.R) ** 2 - 1.0), 0.0)

@@ -32,9 +32,6 @@ from .states import ChannelParams
 #: Resource guard: ny * nz may not exceed this.
 MAX_GRID_POINTS = 4_000_000
 
-#: Cells per row block in SpinorField.density (128 KiB of float64, cache sized).
-DENSITY_BLOCK_CELLS = 1 << 14
-
 _MAGIC = b"KLBFIELD"
 GRID_VERSION = 1
 _HEADER = struct.Struct("<8sII II ddddd")  # magic, version, kind, ny, nz, dy, dz, y0, ystart, zstart
@@ -60,21 +57,12 @@ class SpinorField:
     def density(self) -> np.ndarray:
         """Probability density sum_i |psi_i|^2, shape (ny, nz).
 
-        Accumulates re^2 + im^2 of each component block of rows at a
-        time, so the only temporary is one block of DENSITY_BLOCK_CELLS.
+        Sums re^2 and then im^2 over the components straight into (ny, nz)
+        arrays, so the only temporary is the second sum.
         """
-        values = self.values
-        out = np.empty(values.shape[1:])
-        rows = max(1, DENSITY_BLOCK_CELLS // max(1, out.shape[1]))
-        tmp = np.empty((min(rows, out.shape[0]), out.shape[1]))
-        for start in range(0, out.shape[0], rows):
-            acc = out[start:start + rows]
-            t = tmp[: acc.shape[0]]
-            parts = [p for comp in values[:, start:start + rows] for p in (comp.real, comp.imag)]
-            np.multiply(parts[0], parts[0], out=acc)
-            for part in parts[1:]:
-                np.multiply(part, part, out=t)
-                acc += t
+        re, im = self.values.real, self.values.imag
+        out = np.einsum("cyz,cyz->yz", re, re)
+        out += np.einsum("cyz,cyz->yz", im, im)
         return out
 
 

@@ -1,15 +1,7 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from kleinb.selftest import resolve_seed, sample_grid
-
-# child interpreters (`python -m kleinb` in the CLI tests) import the
-# same source tree as the tests, also under a bare `pytest`
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

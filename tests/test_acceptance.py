@@ -7,10 +7,13 @@ regimes, both spins, n in [0, 20] and b in [0, 1].
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +72,18 @@ def test_criterion_02_oracle_equivalence(big_grid):
     )
 
 
+def field_free_reflection(E, V0):
+    """R = (1 - kappa)/(1 + kappa) at b = 0, to 60 digits on the binary
+    inputs, so its own rounding cannot mask or fake an error of R."""
+    with mpmath.workdps(60):
+        e, v = mpmath.mpf(E), mpmath.mpf(V0)
+        cp = mpmath.sqrt(e * e - 1)
+        q2 = (e - v) ** 2 - 1
+        cq = mpmath.sign(e - v) * mpmath.sqrt(q2) if q2 >= 0 else mpmath.mpc(0, mpmath.sqrt(-q2))
+        kappa = cq * (e + 1) / (cp * (e + 1 - v))
+        return complex((1 - kappa) / (1 + kappa))
+
+
 def test_criterion_03_field_free_reduction(big_grid):
     flips_zero = True
     worst_r = 0.0
@@ -80,12 +95,7 @@ def test_criterion_03_field_free_reduction(big_grid):
         count += 1
         a = amplitudes(p)
         flips_zero &= a.Rp == 0.0 and a.Tp == 0.0
-        cp = math.sqrt((p.E - 1.0) * (p.E + 1.0))
-        q2 = (p.E - p.V0 - 1.0) * (p.E - p.V0 + 1.0)
-        cq = complex(math.copysign(math.sqrt(q2), p.E - p.V0), 0) if q2 >= 0 \
-            else complex(0, math.sqrt(-q2))
-        kappa = cq * (p.E + 1.0) / (cp * (p.E + 1.0 - p.V0))
-        worst_r = max(worst_r, abs(a.R - (1 - kappa) / (1 + kappa)))
+        worst_r = max(worst_r, abs(a.R - field_free_reflection(p.E, p.V0)))
         if a.regime is Regime.CASE_III:
             worst_total = max(worst_total, abs(abs(a.R) ** 2 - 1.0))
     ok = flips_zero and worst_r < 1e-13 and worst_total < 1e-14
@@ -254,9 +264,12 @@ def test_criterion_09_spin_filter():
 
 def test_criterion_10_cli(tmp_path, capsys):
     start = time.perf_counter()
+    # the child imports the same source tree as the tests, also under a bare `pytest`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "kleinb", "selftest"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     elapsed = time.perf_counter() - start
     selftest_ok = proc.returncode == 0 and proc.stdout.count("PASS") == 6 and elapsed < 30.0

@@ -10,6 +10,7 @@ from kleinb import (
     OscillatorRange,
     Regime,
     Spin,
+    amplitudes,
     classify,
     current_budget,
     eval_oscillator,
@@ -165,16 +166,23 @@ class TestThresholdCancellation:
             cq = mpmath.sqrt(q2) * mpmath.sign(e - v) if q2 > 0 else 1j * mpmath.sqrt(-q2)
             return cp, cq, e, v
 
-    @pytest.mark.parametrize("delta", [1e-9, 3e-12, -1e-9, -3e-12])
-    def test_step_side_momentum(self, delta):
-        E, V0 = 30.0, 31.0 * (1.0 + delta)
+    # E - V0 next to 1 but not exactly representable: the rounding of
+    # E - V0 alone (~1e-16) is 2e-12 of E - V0 - 1 here
+    ROUNDED_EBAR = (1.0010505086187926, 0.0009963222587647113)
+
+    @pytest.mark.parametrize("E, V0", [
+        (30.0, 31.0 * (1.0 + 1e-9)), (30.0, 31.0 * (1.0 + 3e-12)),
+        (30.0, 31.0 * (1.0 - 1e-9)), (30.0, 31.0 * (1.0 - 3e-12)), ROUNDED_EBAR,
+    ])
+    def test_step_side_momentum(self, E, V0):
         _, cq, _, _ = self.reference(E, V0)
         got = momentum_right(make_channel(E, V0, 0.0, Spin.DOWN, 0))
         assert abs(got - complex(cq)) <= 1e-15 * abs(complex(cq))
 
-    @pytest.mark.parametrize("delta", [1e-9, 3e-12])
-    def test_transmitted_fraction(self, delta):
-        E, V0 = 30.0, 31.0 * (1.0 + delta)
+    @pytest.mark.parametrize("E, V0", [
+        (30.0, 31.0 * (1.0 + 1e-9)), (30.0, 31.0 * (1.0 + 3e-12)), ROUNDED_EBAR,
+    ])
+    def test_transmitted_fraction(self, E, V0):
         cp, cq, e, v = self.reference(E, V0)
         with mpmath.workdps(60):
             kappa = cq * (e + 1) / (cp * (e + 1 - v))
@@ -188,3 +196,12 @@ class TestThresholdCancellation:
         cp, _, _, _ = self.reference(E, 0.0)
         got = momentum_left(make_channel(E, 0.0, 0.0, Spin.DOWN, 0))
         assert abs(got - float(cp)) <= 1e-15 * float(cp)
+
+    def test_field_free_reflection(self):
+        E, V0 = self.ROUNDED_EBAR
+        cp, cq, e, v = self.reference(E, V0)
+        with mpmath.workdps(60):
+            kappa = cq * (e + 1) / (cp * (e + 1 - v))
+            R = complex((1 - kappa) / (1 + kappa))
+        got = amplitudes(make_channel(E, V0, 0.0, Spin.DOWN, 0)).R
+        assert abs(got - R) <= 1e-15 * abs(R)
