@@ -11,7 +11,10 @@ text.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+
+import numpy as np
 
 from . import selftest as selftest_mod
 from .errors import (
@@ -24,13 +27,7 @@ from .errors import (
     OscillatorRange,
     SingularStep,
 )
-from .scattering import (
-    amplitudes,
-    amplitudes_batch,
-    channel_arrays,
-    current_budget,
-    klein_limit,
-)
+from .scattering import amplitudes, amplitudes_batch, current_budget, klein_limit
 from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
     REGIMES,
@@ -38,8 +35,12 @@ from .states import (
     FieldStrength,
     IncomingState,
     Spin,
+    channel_error,
+    channel_open,
+    channel_valid,
     classify,
     make_channel,
+    parse_spin,
     regime_codes,
 )
 from .wavefield import assemble_field, save_grid
@@ -93,19 +94,12 @@ def emit_json(record: dict, out=None) -> None:
     print(_json_value(record), file=out or sys.stdout)
 
 
-def _spin(value: str) -> Spin:
-    try:
-        return Spin(value.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"spin must be 'up' or 'down', got {value!r}") from None
-
-
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--E", type=float, required=True, help="total energy (mc^2 units)")
     parser.add_argument("--V0", type=float, required=True, help="step height (mc^2 units)")
     parser.add_argument("--b", type=float, required=True, help="field ratio hbar*omega/mc^2")
     parser.add_argument("--n", type=int, required=True, help="shared channel index")
-    parser.add_argument("--spin", type=_spin, required=True, help="incoming spin: up or down")
+    parser.add_argument("--spin", type=parse_spin, required=True, help="incoming spin: up or down")
 
 
 def _point_record(params: ChannelParams) -> dict:
@@ -175,40 +169,51 @@ def _axis_values(args) -> list[float]:
     return values
 
 
-def _sweep_rows(axis: str, values: list[float], fixed: dict) -> list[dict]:
-    """CSV cells per axis value: each point is validated by make_channel,
-    then all valid points are evaluated in one amplitudes_batch call."""
-    errors, points = [], []
-    for value in values:
-        kw = dict(fixed, **{axis: int(value) if axis == "n" else value})
-        try:
-            points.append(make_channel(kw["E"], kw["V0"], kw["b"], kw["spin"], kw["n"]))
-            errors.append("")
-        except _VALIDATION_ERRORS as exc:
-            errors.append(type(exc).__name__)
-    batch = amplitudes_batch(*channel_arrays(points))
-    columns = {"regime": [REGIMES[r].value for r in batch.regime.tolist()]}
-    for name in ("R", "Rp", "T", "Tp"):
-        z = getattr(batch, name)
-        columns[f"re_{name}"] = [fmt(x) for x in z.real.tolist()]
-        columns[f"im_{name}"] = [fmt(x) for x in z.imag.tolist()]
-    for name in ("refl_same", "refl_flip", "trans_same", "trans_flip", "sum"):
-        columns[name] = [fmt(x) for x in getattr(batch, name).tolist()]
-    singular = batch.singular.tolist()
-    rows, j = [], -1
-    for value, error in zip(values, errors):
-        if not error:
-            j += 1
-            if singular[j]:
-                error = SingularStep.__name__
-        cells = {name: "" if error else col[j] for name, col in columns.items()}
-        rows.append(dict(cells, axis_value=fmt(value), error=error))
-    return rows
+def _sweep_cells(batch, name: str, mask) -> list[str]:
+    """One CSV column over the masked points of a batch: the regime label
+    or a formatted value."""
+    if name == "regime":
+        return [REGIMES[r].value for r in batch.regime[mask].tolist()]
+    if name[:3] in ("re_", "im_"):
+        z = getattr(batch, name[3:])
+        x = z.real if name[:3] == "re_" else z.imag
+    else:
+        x = getattr(batch, name)
+    return [fmt(v) for v in x[mask].tolist()]
+
+
+def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]) -> list[str]:
+    """CSV lines of the header's columns, one per axis value.
+
+    make_channel's rules run over all rows at once (channel_valid);
+    make_channel runs only on the invalid rows, to name their error, and
+    the valid rows are evaluated in one amplitudes_batch call.
+    """
+    E, V0, b, n = np.broadcast_arrays(*(
+        np.asarray(values if key == axis else fixed[key], dtype=float)
+        for key in ("E", "V0", "b", "n")
+    ))
+    up = fixed["spin"] is Spin.UP
+    valid = channel_valid(E, V0, b, n, up)
+    errors = [""] * len(values)
+    for i in np.flatnonzero(~valid).tolist():
+        errors[i] = type(channel_error(E[i], V0[i], b[i], n[i], up)).__name__
+    batch = amplitudes_batch(E[valid], V0[valid], b[valid], n[valid], fixed["spin"])
+    index = np.flatnonzero(valid)
+    for i in index[batch.singular].tolist():
+        errors[i] = SingularStep.__name__
+    shown = ~batch.singular
+    inner = header[1:-1]
+    middle = ["," * (len(inner) - 1)] * len(values)  # blank cells of an error row
+    columns = (_sweep_cells(batch, name, shown) for name in inner)
+    for i, cells in zip(index[shown].tolist(), zip(*columns)):
+        middle[i] = ",".join(cells)
+    return [f"{fmt(v)},{m},{e}" for v, m, e in zip(values, middle, errors)]
 
 
 _SWEEP_KEYS = {
     "axis": str, "start": float, "stop": float, "count": int, "values": str,
-    "E": float, "V0": float, "b": float, "n": int, "spin": _spin,
+    "E": float, "V0": float, "b": float, "n": int, "spin": parse_spin,
     "columns": str, "output": str,
 }
 
@@ -243,12 +248,10 @@ def cmd_sweep(args) -> int:
         selected = list(SWEEP_VALUE_COLUMNS)
     header = ["axis_value", "regime", *selected, "error"]
 
-    rows = _sweep_rows(axis, values, fixed)
+    lines = _sweep_lines(axis, values, fixed, header)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(row[name] for name in header), file=out)
+        print("\n".join([",".join(header), *lines]), file=out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -256,15 +259,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime_map(args) -> int:
-    import numpy as np
-
     FieldStrength(args.b)  # validates b
     IncomingState(Spin.DOWN, args.n)  # validates n
     es = np.linspace(args.E_start, args.E_stop, args.E_count)
     v0s = np.linspace(args.V0_start, args.V0_stop, args.V0_count)
     c = 2.0 * args.b * args.n
     labels = [REGIMES[r].value for r in regime_codes(es[:, None], v0s[None, :], c).ravel().tolist()]
-    is_open = ((es * es > 1.0 + c) & (es > 0)).astype(int).tolist()
+    is_open = (channel_open(es, c) & (es > 0)).astype(int).tolist()
     e_text, v0_text = [fmt(e) for e in es], [fmt(v0) for v0 in v0s]
     rows = [f"{e},{v0},{labels[i * len(v0_text) + j]},{is_open[i]}"
             for i, e in enumerate(e_text) for j, v0 in enumerate(v0_text)]
@@ -273,8 +274,6 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_field(args) -> int:
-    import numpy as np
-
     params = make_channel(args.E, args.V0, args.b, args.spin, args.n)
     field = assemble_field(
         params, ny=args.ny, nz=args.nz, k_x=args.kx,
@@ -341,7 +340,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args does not
+    modify it)."""
     parser = argparse.ArgumentParser(
         prog="kleinb",
         description="Relativistic step scattering in a parallel magnetic field "
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V0", type=float, help="fixed step height")
     p.add_argument("--b", type=float, help="fixed field ratio")
     p.add_argument("--n", type=int, help="fixed channel index")
-    p.add_argument("--spin", type=_spin, help="incoming spin")
+    p.add_argument("--spin", type=parse_spin, help="incoming spin")
     p.add_argument("--columns", help="comma-separated subset of output columns")
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--output", help="write CSV here instead of stdout")
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", type=_spin, default=Spin.DOWN)
+    p.add_argument("--spin", type=parse_spin, default=Spin.DOWN)
     p.set_defaults(func=cmd_klein_limit)
 
     p = sub.add_parser("filter-delay", help="arrival-time split of the beam pair")

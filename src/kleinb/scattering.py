@@ -8,8 +8,7 @@ reduction.
 
 One array core evaluates the amplitudes, the budgets and the oracle:
 amplitudes_batch and solve_boundary_batch take arrays of channels, and
-the scalar functions
-(amplitudes, current_budget, kinematic_factor, boundary_spinors,
+the scalar functions (amplitudes, current_budget, kinematic_factor,
 solve_boundary_system) are the same code run on one point, so batch and
 scalar results agree bit for bit.
 
@@ -28,14 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosedChannel, KleinStepError, SingularMatrix, SingularStep
+from .errors import ClosedChannel, SingularMatrix, SingularStep
 from .landau import longitudinal_momenta, momentum_left
 from .states import (
     EVANESCENT,
     REGIMES,
     ChannelParams,
     Spin,
-    channel_open,
+    channel_error,
+    channel_valid,
     make_channel,
     parse_spin,
     regime_codes,
@@ -319,36 +319,13 @@ def _batch_kinematics(E, V0, b, n, spin) -> tuple[Kinematics, tuple]:
     )
     shape = E.shape
     E, V0, b, n, up = (np.ravel(x) for x in (E, V0, b, n, up))
-    C = 2.0 * b * n
-    with np.errstate(invalid="ignore", over="ignore"):
-        valid = (
-            np.isfinite(E) & np.isfinite(V0) & np.isfinite(b) & (E > 0.0) & (V0 >= 0.0)
-            & (b >= 0.0) & (n >= 0.0) & (n == np.floor(n)) & ~(up & (n == 0.0))
-            & channel_open(E, C)
-        )
+    valid = channel_valid(E, V0, b, n, up)
     if not valid.all():
-        # make_channel names the first invalid point's error
         i = int(np.argmin(valid))
         where = tuple(int(j) for j in np.unravel_index(i, shape))
-        ni = int(n[i]) if np.isfinite(n[i]) and n[i] == np.floor(n[i]) else float(n[i])
-        try:
-            make_channel(E[i], V0[i], b[i], Spin.UP if up[i] else Spin.DOWN, ni)
-        except (ValueError, KleinStepError) as exc:
-            raise type(exc)(f"point {where}: {exc}") from None
-        raise ValueError(f"point {where}: invalid channel")
-    return kinematics(E, V0, C, up), shape
-
-
-def channel_arrays(channels) -> tuple[np.ndarray, ...]:
-    """(E, V0, b, n, spin) arrays of a sequence of ChannelParams, in the
-    argument order of amplitudes_batch and solve_boundary_batch."""
-    return (
-        np.array([p.E for p in channels], dtype=float),
-        np.array([p.V0 for p in channels], dtype=float),
-        np.array([p.field.b for p in channels], dtype=float),
-        np.array([p.n for p in channels], dtype=float),
-        np.array([p.spin for p in channels], dtype=object),
-    )
+        exc = channel_error(E[i], V0[i], b[i], n[i], up[i])
+        raise type(exc)(f"point {where}: {exc}")
+    return kinematics(E, V0, 2.0 * b * n, up), shape
 
 
 def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
@@ -416,24 +393,6 @@ def _boundary_table(k: Kinematics):
     scale = np.stack([k.nl, k.nl, k.nl, nr, nr], axis=-1)
     with np.errstate(invalid="ignore"):
         return spinor_table(k) * scale[:, :, None], norm2 == 0.0
-
-
-def boundary_spinors(params: ChannelParams):
-    """Boundary values at z = 0 of the five wave pieces.
-
-    Returns (incident, refl_same, refl_flip, trans_same, trans_flip),
-    each a length-4 complex vector holding the spinor coefficients that
-    multiply the transverse factors (Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n)
-    component-wise.  Normalization prefactors are included; the
-    transmitted vectors are unit amplitude, i.e. not yet scaled by T or
-    Tp.
-    """
-    table, degenerate = _boundary_table(point_kinematics(params))
-    if degenerate[0]:
-        raise SingularMatrix(
-            "transmitted-spinor normalization degenerates at E = V0 or V0 = E + 1"
-        )
-    return tuple(table[0])
 
 
 def _boundary_solve(k: Kinematics):

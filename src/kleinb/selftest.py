@@ -51,20 +51,19 @@ BLOCK_SIZE = 1024
 #: grid at wavefield.MAX_GRID_POINTS takes.
 MAX_SELFTEST_POINTS = 400_000
 
+#: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0
+#: stratum of B_ZERO_FRACTION of the candidates.
+B_MAX = 1.0
+B_ZERO_FRACTION = 0.15
 
-def _draw_block(
-    rng: np.random.Generator,
-    size: int,
-    n_max: int = 20,
-    b_max: float = 1.0,
-    b_zero_fraction: float = 0.15,
-) -> tuple[np.ndarray, ...]:
+
+def _draw_block(rng: np.random.Generator, size: int, n_max: int = 20) -> tuple[np.ndarray, ...]:
     """Draw `size` candidate channels as arrays, stratified uniformly over
-    the regimes (V0 target), with a b = 0 stratum of b_zero_fraction;
+    the regimes (V0 target), with a b = 0 stratum of B_ZERO_FRACTION;
     returns (E, V0, b, n, up) of the candidates off the V0 = E + 1 sliver."""
     n = rng.integers(0, n_max + 1, size)
     up = (n != 0) & (rng.random(size) < 0.5)
-    b = np.where(rng.random(size) < b_zero_fraction, 0.0, rng.uniform(0.0, b_max, size))
+    b = np.where(rng.random(size) < B_ZERO_FRACTION, 0.0, rng.uniform(0.0, B_MAX, size))
     m = np.sqrt(1.0 + 2.0 * b * n)
     e = m * (1.0 + 10.0 ** rng.uniform(-3.0, 0.7, size))
     # V0 target: 0 inside the step (Klein), 1 above it, 2 evanescent
@@ -81,15 +80,10 @@ def _draw_block(
     return e[keep], v0[keep], b[keep], n[keep], up[keep]
 
 
-def sample_params(
-    rng: np.random.Generator,
-    n_max: int = 20,
-    b_max: float = 1.0,
-    b_zero_fraction: float = 0.15,
-) -> ChannelParams:
+def sample_params(rng: np.random.Generator, n_max: int = 20) -> ChannelParams:
     """One random open channel, drawn by the rule of sample_grid."""
     while True:
-        e, v0, b, n, up = _draw_block(rng, 1, n_max, b_max, b_zero_fraction)
+        e, v0, b, n, up = _draw_block(rng, 1, n_max)
         if e.size:
             return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, int(n[0]))
 

@@ -21,10 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedChannel, InvalidSpinIndex, NegativeField
+from .errors import ClosedChannel, InvalidSpinIndex, KleinStepError, NegativeField
 
 #: Marker for the unit convention used throughout the package.
 UNIT_SYSTEM = "natural units: mc^2 = c = hbar = 1"
+
+#: Largest E and V0 a channel accepts.  The closed forms square products
+#: of up to four energies; sums stay conserved to 1e-12 up to E = 1e76
+#: and V0 = 1e153, beyond which those squares overflow.  An open channel
+#: has C = 2 b n < E^2, so C is bounded too.
+MAX_ENERGY = 1e50
 
 
 class Spin(enum.Enum):
@@ -108,6 +114,7 @@ class ChannelParams:
     E  : total energy, mc^2 units, must open the incoming channel,
          i.e. E^2 > 1 + 2 b n.
     V0 : step height, mc^2 units, >= 0.
+    Both are at most MAX_ENERGY.
     """
 
     E: float
@@ -122,6 +129,8 @@ class ChannelParams:
             raise ValueError(f"total energy must be > 0, got {self.E}")
         if self.V0 < 0.0:
             raise ValueError(f"step height must be >= 0, got {self.V0}")
+        if max(self.E, self.V0) > MAX_ENERGY:
+            raise ValueError(f"E and V0 must be <= MAX_ENERGY = {MAX_ENERGY:g}")
         if not channel_open(self.E, self.C):
             raise ClosedChannel(
                 f"channel closed: E^2 = {self.E * self.E:.6g} <= 1 + 2 b n = {1.0 + self.C:.6g}"
@@ -161,7 +170,8 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
 
     Raises NegativeField for b < 0, InvalidSpinIndex for (up, 0) or
     n < 0, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
-    non-finite or out-of-range E, V0.
+    non-finite or out-of-range E, V0.  channel_valid is the same rule
+    over arrays.
     """
     return ChannelParams(
         E=float(E), V0=float(V0), field=FieldStrength(float(b)),
@@ -176,6 +186,28 @@ def channel_open(E, C):
     channel this accepts has cp > 0 in floating point too.
     """
     return (E - 1.0) * (E + 1.0) > C
+
+
+def channel_valid(E, V0, b, n, up):
+    """make_channel's rules over arrays: True where make_channel accepts
+    the point (n as float, up a bool mask for spin-up)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (
+            (E > 0.0) & (E <= MAX_ENERGY) & (V0 >= 0.0) & (V0 <= MAX_ENERGY)
+            & np.isfinite(b) & (b >= 0.0) & (n >= 0.0) & (n == np.floor(n))
+            & ~(up & (n == 0.0)) & channel_open(E, 2.0 * b * n)
+        )
+
+
+def channel_error(E, V0, b, n, up) -> Exception:
+    """The exception make_channel raises for one point that channel_valid
+    rejects (float n, as in channel_valid)."""
+    n = int(n) if math.isfinite(n) and n == math.floor(n) else float(n)
+    try:
+        make_channel(E, V0, b, Spin.UP if up else Spin.DOWN, n)
+    except (ValueError, KleinStepError) as exc:
+        return exc
+    return ValueError("invalid channel")
 
 
 def regime_codes(E, V0, C):

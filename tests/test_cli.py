@@ -4,8 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from kleinb import Spin, amplitudes, classify, current_budget, load_grid, make_channel
-from kleinb.cli import main
+import kleinb.cli
+import kleinb.scattering
+import kleinb.states
+from kleinb import (
+    KleinStepError,
+    Spin,
+    amplitudes,
+    classify,
+    current_budget,
+    load_grid,
+    make_channel,
+)
+from kleinb.cli import build_parser, fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +73,13 @@ class TestAmps:
                                "--b", "0.1", "--n", "1", "--spin", "up")
         assert code == 2 and "SingularStep" in err
 
+    def test_energy_bound_exit(self, capsys):
+        # beyond MAX_ENERGY the closed forms would overflow and print NaN
+        code, out, err = run_cli(capsys, "amps", "--E", "2", "--V0", "1e300",
+                                 "--b", "0.1", "--n", "1", "--spin", "up")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError")
+
 
 class TestSweep:
     def test_regime_transitions_along_v0(self, capsys):
@@ -110,8 +128,6 @@ class TestSweep:
             "--count", "17", "--E", "2", "--b", "0.2", "--n", "1", "--spin", "up",
         )
         assert code == 0
-        from kleinb.cli import fmt
-
         lines = out.strip().splitlines()
         header = lines[0].split(",")
         for line in lines[1:]:
@@ -193,6 +209,118 @@ class TestSweep:
         assert code == 2 and "axis" in err
 
 
+def make_channel_error(e, v0, b, n, spin):
+    """Error name of one sweep row, from make_channel and amplitudes."""
+    try:
+        amplitudes(make_channel(e, v0, b, spin, n))
+    except (ValueError, KleinStepError) as exc:
+        return type(exc).__name__
+    return ""
+
+
+PARITY_SWEEPS = [
+    # (axis, values, fixed flags)
+    ("V0", "-1,0,nan,inf,1e50,1.0000000000000002e+50,1e300,3,2.5,6",
+     {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}),
+    ("E", "-1,0,0.5,1,1.4955530238762225,nan,inf,-inf,1e300,2,3",
+     {"V0": 1.0, "b": 0.04416710168661831, "n": 14, "spin": "down"}),
+    ("b", "-0.1,nan,inf,-inf,0,0.5,3", {"E": 2.0, "V0": 6.0, "n": 1, "spin": "up"}),
+    ("n", "0,1,2,40", {"E": 2.0, "V0": 1.0, "b": 0.1, "spin": "up"}),
+    ("V0", "0,1,6", {"E": 2.0, "b": 0.1, "n": -1, "spin": "down"}),
+]
+
+
+class TestSweepRowParity:
+    def test_error_column_matches_make_channel(self, capsys):
+        kinds = set()
+        for axis, values, fixed in PARITY_SWEEPS:
+            flags = [x for k, v in fixed.items() for x in (f"--{k}", str(v))]
+            code, out, _ = run_cli(capsys, "sweep", "--axis", axis, f"--values={values}", *flags)
+            assert code == 0
+            lines = out.strip().splitlines()
+            header = lines[0].split(",")
+            assert len(lines) == 1 + len(values.split(","))
+            for line in lines[1:]:
+                cells = dict(zip(header, line.split(",")))
+                point = dict(fixed, **{axis: float(cells["axis_value"])})
+                n = int(point["n"])
+                want = make_channel_error(point["E"], point["V0"], point["b"], n, point["spin"])
+                assert cells["error"] == want, (axis, cells["axis_value"])
+                kinds.add(want)
+                if want:
+                    assert set(cells.values()) == {"", cells["axis_value"], want}
+                    continue
+                rec = amps_record(capsys, point["E"], point["V0"], point["b"], n, point["spin"])
+                assert cells["regime"] == rec["regime"]
+                for name in ("R", "Rp", "T", "Tp"):
+                    assert cells[f"re_{name}"] == fmt(rec[name]["re"])
+                    assert cells[f"im_{name}"] == fmt(rec[name]["im"])
+                for name in ("refl_same", "refl_flip", "trans_same", "trans_flip", "sum"):
+                    assert cells[name] == fmt(rec[name])
+        assert kinds == {"", "NegativeField", "InvalidSpinIndex", "ValueError",
+                         "ClosedChannel", "SingularStep"}
+
+    def test_energy_bound_row(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values", "1e300,1",
+                               "--E", "2", "--b", "0.1", "--n", "1", "--spin", "up")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rows[0][-1] == "ValueError" and rows[1][-1] == ""
+
+    def test_make_channel_runs_only_on_invalid_rows(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_channel(*args, **kwargs)
+
+        for module in (kleinb.states, kleinb.scattering, kleinb.cli):
+            monkeypatch.setattr(module, "make_channel", counted)
+        flags = ["--E", "2", "--b", "0.1", "--n", "1", "--spin", "up"]
+        code, _, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values", "0,1,3,5,6", *flags)
+        assert code == 0 and calls == []  # V0 = 3 is SingularStep, found without make_channel
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values=0,-1,1,nan,6", *flags)
+        assert code == 0 and len(calls) == 2
+        assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == [
+            "", "ValueError", "", "ValueError", ""]
+
+    def test_config_spin_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = V0\nvalues = 1,2\nE = 2\nb = 0.1\nn = 1\nspin = sideways\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_keeps_no_state(self, capsys, tmp_path):
+        # a config sweep sets count and columns on its namespace; the
+        # flag-only sweep after it must still get the defaults
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = V0\nstart = 0\nstop = 4\ncount = 5\nE = 2.0\n"
+                       "b = 0.2\nn = 1\nspin = up\ncolumns = sum\n")
+        calls = [
+            ["selftest", "--points", "50", "--seed", "3"],
+            ["sweep", "--config", str(cfg)],
+            ["sweep", "--axis", "E", "--start", "2", "--stop", "3",
+             "--V0", "1", "--b", "0.1", "--n", "1", "--spin", "down"],
+            ["amps", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1", "--spin", "up"],
+        ]
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            args = build_parser.__wrapped__().parse_args(argv)
+            code = args.func(args)
+            fresh.append((code, *capsys.readouterr()))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0]
+        assert len(shared[2][1].strip().splitlines()) == 52
+        assert shared[2][1].startswith("axis_value,regime,re_R,")
+
+
 class TestRegimeMap:
     def test_grid(self, capsys):
         code, out, _ = run_cli(
@@ -227,6 +355,18 @@ class TestRegimeMap:
                 assert regime == classify(make_channel(e, v0, b, "down", n)).value
             equalities += abs(e - v0) == m
         assert equalities >= 10
+
+    def test_open_column_follows_channel_rule(self, capsys):
+        # E*E > 1 + C here, but (E - 1)(E + 1) <= C: make_channel calls it closed
+        e, b, n = 1.4955530238762225, 0.04416710168661831, 14
+        with pytest.raises(kleinb.ClosedChannel):
+            make_channel(e, 0.0, b, "down", n)
+        code, out, _ = run_cli(
+            capsys, "regime-map", "--E-start", repr(e), "--E-stop", repr(e), "--E-count", "1",
+            "--V0-start", "0", "--V0-stop", "0", "--V0-count", "1", "--b", repr(b), "--n", str(n),
+        )
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[3] == "0"
 
     def test_invalid_field_rejected(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from kleinb import (
     classify,
     make_channel,
 )
+from kleinb.states import MAX_ENERGY, channel_error, channel_valid
 
 
 def test_valid_channel():
@@ -128,3 +131,42 @@ def test_params_are_immutable():
     with pytest.raises(AttributeError):
         p.E = 3.0
     assert isinstance(p, ChannelParams)
+
+
+def test_energy_bound():
+    # the bound itself is accepted, the next double above it is not
+    above = math.nextafter(MAX_ENERGY, math.inf)
+    assert make_channel(MAX_ENERGY, MAX_ENERGY, 0.1, Spin.UP, 1).E == MAX_ENERGY
+    for e, v0 in [(above, 0.0), (2.0, above), (2.0, 1e300)]:
+        with pytest.raises(ValueError, match="MAX_ENERGY"):
+            make_channel(e, v0, 0.1, Spin.UP, 1)
+
+
+def _make_channel_error(e, v0, b, n, up):
+    try:
+        make_channel(e, v0, b, Spin.UP if up else Spin.DOWN, n)
+    except (ValueError, ClosedChannel, InvalidSpinIndex, NegativeField) as exc:
+        return type(exc)
+    return None
+
+
+def test_array_rule_matches_make_channel():
+    # every rule of make_channel, its edges and non-finite values
+    above = math.nextafter(MAX_ENERGY, math.inf)
+    es = [-1.0, 0.0, 0.5, 1.0, 1.4955530238762225, 2.0, MAX_ENERGY, above, math.nan, math.inf]
+    v0s = [-1.0, 0.0, 3.0, MAX_ENERGY, above, math.nan, -math.inf]
+    bs = [-0.1, 0.0, 0.04416710168661831, 0.5, 1e300, math.nan, math.inf]
+    ns = [-1, 0, 1, 14, 2.5, math.inf]
+    grid = np.array(list(itertools.product(es, v0s, bs, ns, [False, True])))
+    e, v0, b, n, up = grid.T
+    up = up.astype(bool)
+    valid = channel_valid(e, v0, b, n, up)
+    kinds = set()
+    for i in range(len(grid)):
+        n_i = int(n[i]) if math.isfinite(n[i]) and n[i] == math.floor(n[i]) else float(n[i])
+        want = _make_channel_error(float(e[i]), float(v0[i]), float(b[i]), n_i, up[i])
+        assert valid[i] == (want is None), grid[i]
+        if want is not None:
+            assert type(channel_error(e[i], v0[i], b[i], n[i], up[i])) is want, grid[i]
+        kinds.add(want)
+    assert kinds == {None, ValueError, ClosedChannel, InvalidSpinIndex, NegativeField}
