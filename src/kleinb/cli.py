@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,8 @@ from .errors import (
 from .scattering import amplitudes, amplitudes_batch, current_budget, klein_limit
 from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
+    MAX_ENERGY,
+    MAX_LEVEL,
     REGIMES,
     ChannelParams,
     FieldStrength,
@@ -237,6 +240,9 @@ def cmd_sweep(args) -> int:
     missing = [k for k, v in fixed.items() if v is None and k != axis]
     if missing:
         raise ValueError(f"missing fixed parameter(s): {', '.join(missing)}")
+    if axis != "n" and abs(fixed["n"]) > MAX_LEVEL:
+        # every row reads InvalidSpinIndex; inf stands in for an int too large for a float
+        fixed["n"] = math.inf
     values = _axis_values(args)
 
     if args.columns:
@@ -261,6 +267,11 @@ def cmd_sweep(args) -> int:
 def cmd_regime_map(args) -> int:
     FieldStrength(args.b)  # validates b
     IncomingState(Spin.DOWN, args.n)  # validates n
+    for flag in ("E_start", "E_stop", "V0_start", "V0_stop"):
+        x = getattr(args, flag)
+        if not (math.isfinite(x) and abs(x) <= MAX_ENERGY):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite with magnitude "
+                             f"<= MAX_ENERGY = {MAX_ENERGY:g}, got {x}")
     es = np.linspace(args.E_start, args.E_stop, args.E_count)
     v0s = np.linspace(args.V0_start, args.V0_stop, args.V0_count)
     c = 2.0 * args.b * args.n

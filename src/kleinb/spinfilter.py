@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ClosedChannel, EvanescentBranch, InvalidSpinIndex, NegativeField
+from .states import MAX_ENERGY, MAX_LEVEL
 
 #: Electron spin g-factor including radiative corrections.
 G_ELECTRON = 2.002319
@@ -40,9 +41,10 @@ class Branch(enum.Enum):
 class FilterSetup:
     """Parameters of one filter configuration.
 
-    E, b, n label the degenerate pair (n >= 1); distance is the flight
-    path from the step to the screen in Compton units; V0 is required
-    for the transmitted branch and ignored otherwise.
+    E, b, n label the degenerate pair (1 <= n <= MAX_LEVEL); distance
+    is the flight path from the step to the screen in Compton units; V0
+    is required for the transmitted branch and ignored otherwise.  E
+    and |V0| are at most MAX_ENERGY, as for a channel.
     """
 
     E: float
@@ -54,16 +56,19 @@ class FilterSetup:
     V0: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidSpinIndex(f"the filter needs a degenerate pair, n >= 1, got {self.n!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= MAX_LEVEL:
+            raise InvalidSpinIndex(
+                f"the filter needs a degenerate pair, 1 <= n <= MAX_LEVEL = 2**53, got {self.n!r}")
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise NegativeField(f"field ratio b must be finite and >= 0, got {self.b}")
         if not math.isfinite(self.g):
             raise ValueError(f"g-factor must be finite, got {self.g}")
-        if self.V0 is not None and not math.isfinite(self.V0):
-            raise ValueError(f"step height must be finite, got {self.V0}")
-        if not (math.isfinite(self.E) and self.E > 0.0):
-            raise ValueError(f"total energy must be finite and > 0, got {self.E}")
+        if self.V0 is not None and not (math.isfinite(self.V0) and abs(self.V0) <= MAX_ENERGY):
+            raise ValueError(
+                f"step height must be finite with |V0| <= MAX_ENERGY = 1e50, got {self.V0}")
+        if not (math.isfinite(self.E) and 0.0 < self.E <= MAX_ENERGY):
+            raise ValueError(
+                f"total energy must be finite, > 0 and <= MAX_ENERGY = 1e50, got {self.E}")
         if not (math.isfinite(self.distance) and self.distance >= 0.0):
             raise ValueError(f"flight distance must be >= 0, got {self.distance}")
         if self.branch is Branch.TRANSMITTED and self.V0 is None:

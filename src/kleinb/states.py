@@ -32,6 +32,10 @@ UNIT_SYSTEM = "natural units: mc^2 = c = hbar = 1"
 #: has C = 2 b n < E^2, so C is bounded too.
 MAX_ENERGY = 1e50
 
+#: Largest level index n a channel accepts: 2**53, the largest n that a
+#: float n (as channel_valid and the sweep axis carry it) holds exactly.
+MAX_LEVEL = 2 ** 53
+
 
 class Spin(enum.Enum):
     """Spin label of the incoming electron."""
@@ -92,7 +96,8 @@ class IncomingState:
     The pair degenerate at energy sqrt(cp^2 + 1 + 2 b n) carries one
     label n: spin-up means the member with orbital index n - 1, spin-down
     the member with orbital index n.  Spin-up therefore requires n >= 1;
-    (down, n = 0) is the single non-degenerate lowest state.
+    (down, n = 0) is the single non-degenerate lowest state.  n is at
+    most MAX_LEVEL.
     """
 
     spin: Spin
@@ -103,6 +108,8 @@ class IncomingState:
             raise InvalidSpinIndex(f"channel index n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise InvalidSpinIndex(f"channel index n must be >= 0, got {self.n}")
+        if self.n > MAX_LEVEL:
+            raise InvalidSpinIndex(f"channel index n must be <= MAX_LEVEL = 2**53, got {self.n}")
         if self.spin is Spin.UP and self.n == 0:
             raise InvalidSpinIndex("spin-up requires n >= 1 (orbital index n - 1 must exist)")
 
@@ -168,8 +175,8 @@ def parse_spin(spin: Spin | str) -> Spin:
 def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> ChannelParams:
     """Build validated ChannelParams.
 
-    Raises NegativeField for b < 0, InvalidSpinIndex for (up, 0) or
-    n < 0, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
+    Raises NegativeField for b < 0, InvalidSpinIndex for (up, 0),
+    n < 0 or n > MAX_LEVEL, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
     non-finite or out-of-range E, V0.  channel_valid is the same rule
     over arrays.
     """
@@ -194,7 +201,7 @@ def channel_valid(E, V0, b, n, up):
     with np.errstate(invalid="ignore", over="ignore"):
         return (
             (E > 0.0) & (E <= MAX_ENERGY) & (V0 >= 0.0) & (V0 <= MAX_ENERGY)
-            & np.isfinite(b) & (b >= 0.0) & (n >= 0.0) & (n == np.floor(n))
+            & np.isfinite(b) & (b >= 0.0) & (n >= 0.0) & (n <= MAX_LEVEL) & (n == np.floor(n))
             & ~(up & (n == 0.0)) & channel_open(E, 2.0 * b * n)
         )
 

@@ -5,9 +5,10 @@ transmitted pieces for z >= 0.  Component i of every piece carries the
 transverse factor Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n for i = 1..4, with
 the convention Phi_{-1} = 0, so the boundary conditions at z = 0 reduce
 to component-wise matching of the coefficient 4-vectors.  Every piece
-is thus a transverse factor of y times a plane wave in z, and the grid
-is assembled as the outer product of the (4, ny) transverse factors and
-a (4, nz) longitudinal profile that sums each side's plane waves.
+is thus a transverse factor of y times a plane wave in z, and a field
+is kept as the (4, ny) transverse factors and a (4, nz) longitudinal
+profile that sums each side's plane waves; the (4, ny, nz) grid, their
+outer product, is built only when it is read.
 
 The transmitted pieces are accumulated through the scaled amplitudes
 tau = T/w (w the transmitted normalization prefactor), which keeps the
@@ -17,6 +18,7 @@ while its normalization diverges.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -41,29 +43,46 @@ GRID_KIND_COMPONENTS = 1
 
 @dataclass
 class SpinorField:
-    """Four complex components sampled on a rectangular (y, z) grid.
+    """Four complex components on a rectangular (y, z) grid, kept as factors.
 
-    values has shape (4, ny, nz); y, z are the sample coordinates in
-    Compton units; y0 is the guiding center of the transverse functions.
+    y, z are the sample coordinates in Compton units; y0 is the guiding
+    center of the transverse functions.  Every wave piece is a
+    transverse function of y times a plane wave in z, so the field is
+    stored as the real (4, ny) transverse factors ``trans`` =
+    (Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n) and the complex (4, nz)
+    longitudinal profile ``profile``; ``ends`` holds, per component, the
+    profile's one-sided limits at z -> 0- and z -> 0+ (shape (4, 2)).
+    The (4, ny, nz) grid ``values`` = trans x profile is built the first
+    time it is read and then kept.  density, integrated_current,
+    boundary_values and save_grid work on the factors and never build
+    it; save_grid writes it when it has been built already.
     """
 
     y: np.ndarray
     z: np.ndarray
-    values: np.ndarray
+    trans: np.ndarray
+    profile: np.ndarray
+    ends: np.ndarray
     y0: float
     params: ChannelParams
     amps: ScatterAmplitudes
 
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The complex components, shape (4, ny, nz), built on first read."""
+        return self.trans[:, :, None] * self.profile[:, None, :]
+
     def density(self) -> np.ndarray:
         """Probability density sum_i |psi_i|^2, shape (ny, nz).
 
-        Sums re^2 and then im^2 over the components straight into (ny, nz)
-        arrays, so the only temporary is the second sum.
+        Components 0, 2 share Phi_{n-1} and 1, 3 share Phi_n, so the
+        density is Phi_{n-1}^2 x (|p_0|^2 + |p_2|^2) + Phi_n^2 x
+        (|p_1|^2 + |p_3|^2): one (ny, 2) @ (2, nz) product, which
+        allocates the output and no complex grid or (ny, nz) temporary.
         """
-        re, im = self.values.real, self.values.imag
-        out = np.einsum("cyz,cyz->yz", re, re)
-        out += np.einsum("cyz,cyz->yz", im, im)
-        return out
+        p2 = self.profile.real ** 2 + self.profile.imag ** 2
+        lo, hi = self.trans[0], self.trans[1]
+        return np.stack((lo * lo, hi * hi), axis=1) @ np.stack((p2[0] + p2[2], p2[1] + p2[3]))
 
 
 def _pieces(params: ChannelParams, amps: ScatterAmplitudes):
@@ -109,18 +128,22 @@ def _transverse(params: ChannelParams, y: np.ndarray, y0: float) -> np.ndarray:
 
 
 def _profile(params: ChannelParams, amps: ScatterAmplitudes,
-             z: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Longitudinal profile, shape (4, z.size).
+             z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Longitudinal profile, shape (4, z.size), and its one-sided limits
+    at z = 0, shape (4, 2).
 
-    Per component, the sum over the pieces of coeff * exp(i k_z z), where
-    a sample takes the left pieces if ``left`` is set for it and the
-    transmitted pieces otherwise.
+    Per component, the sum over the pieces of coeff * exp(i k_z z), with
+    the left pieces for z < 0 and the transmitted pieces for z >= 0; the
+    limits are the sums of the left and of the transmitted coefficients.
     """
+    left = z < 0.0
     profile = np.zeros((4, z.size), dtype=complex)
+    ends = np.zeros((4, 2), dtype=complex)
     for coeff, kz, side in _pieces(params, amps):
         mask = left if side < 0 else ~left
         profile[:, mask] += coeff[:, None] * np.exp(1j * kz * z[mask])
-    return profile
+        ends[:, int(side > 0)] += coeff
+    return profile, ends
 
 
 def _count(name: str, value) -> int:
@@ -152,9 +175,10 @@ def assemble_field(
     Defaults: y spans y0 +- 6 L (6 Compton lengths at b = 0), z spans
     +- 10 de Broglie wavelengths of the incident wave, 512 x 512 points.
     Explicit y, z arrays override the spans and the counts.  The guiding
-    center is y0 = k_x L^2 (0 at b = 0).  The values are the outer
-    product of the (4, ny) transverse factors and the (4, nz)
-    longitudinal profile.  Raises ValueError for a y or z that is not a
+    center is y0 = k_x L^2 (0 at b = 0).  Only the (4, ny) transverse
+    factors and the (4, nz) longitudinal profile are computed; the
+    field's values, their outer product, are built when first read.
+    Raises ValueError for a y or z that is not a
     finite non-empty 1-D array, for an ny or nz that is not an integer
     >= 1 and for a non-finite guiding center, and GridTooLarge beyond
     the MAX_GRID_POINTS guard.
@@ -187,21 +211,18 @@ def assemble_field(
             raise ValueError(f"z halfwidth must be finite and > 0, got {half}")
         z = np.linspace(-half, half, nz)
 
-    profile = _profile(params, amps, z, z < 0.0)
-    values = _transverse(params, y, y0)[:, :, None] * profile[:, None, :]
-    return SpinorField(y=y, z=z, values=values, y0=y0, params=params, amps=amps)
+    profile, ends = _profile(params, amps, z)
+    return SpinorField(y=y, z=z, trans=_transverse(params, y, y0), profile=profile,
+                       ends=ends, y0=y0, params=params, amps=amps)
 
 
 def boundary_values(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     """One-sided limits psi(z -> 0-) and psi(z -> 0+) over the y grid.
 
-    Recomputed from the stored parameters and amplitudes: the profile's
-    left and right sums at z = 0 times the transverse factors, shape
-    (4, ny) each.
+    The profile's left and right limits at z = 0 times the transverse
+    factors, shape (4, ny) each.
     """
-    ends = _profile(field.params, field.amps, np.zeros(2), np.array([True, False]))
-    trans = _transverse(field.params, field.y, field.y0)
-    return trans * ends[:, :1], trans * ends[:, 1:]
+    return field.trans * field.ends[:, :1], field.trans * field.ends[:, 1:]
 
 
 def continuity_residual(field: SpinorField) -> float:
@@ -224,14 +245,15 @@ def integrated_current(field: SpinorField) -> np.ndarray:
     """Longitudinal current integrated over y, one value per z sample.
 
     j_z(y, z) = 2 Re(psi_1* psi_3) - 2 Re(psi_2* psi_4) integrated by
-    the trapezoid rule over the y grid.  Conserved: z-independent on
-    each side of the step, equal to the incident current times
-    (1 - refl_same - refl_flip) on the left and (trans_same +
-    trans_flip) on the right.
+    the trapezoid rule over the y grid.  With psi_i = Phi_i(y) p_i(z)
+    that is 2 Re(p_1* p_3) int Phi_{n-1}^2 dy - 2 Re(p_2* p_4) int
+    Phi_n^2 dy: O(ny + nz) work.  Conserved: z-independent on each side
+    of the step, equal to the incident current times (1 - refl_same -
+    refl_flip) on the left and (trans_same + trans_flip) on the right.
     """
-    v = field.values
-    jz = 2.0 * np.real(np.conj(v[0]) * v[2]) - 2.0 * np.real(np.conj(v[1]) * v[3])
-    return np.trapezoid(jz, field.y, axis=0)
+    p, lo, hi = field.profile, field.trans[0], field.trans[1]
+    return (2.0 * np.real(np.conj(p[0]) * p[2]) * np.trapezoid(lo * lo, field.y)
+            - 2.0 * np.real(np.conj(p[1]) * p[3]) * np.trapezoid(hi * hi, field.y))
 
 
 #: Largest deviation of a grid step from the mean step, relative to it,
@@ -258,12 +280,19 @@ def save_grid(path, field: SpinorField, what: str = "density") -> None:
     followed by the payload in C order: ny*nz float64 densities, or
     4*ny*nz complex128 components (component index slowest).  Requires a
     uniformly spaced grid with a nonzero step (ValueError otherwise,
-    before the file is opened); dy and dz are the mean steps.
+    before the file is opened); dy and dz are the mean steps.  Unless
+    the field's values have been built already, components are written
+    one (ny, nz) slab at a time, each bit-identical to its slice of
+    values.
     """
     if what == "density":
-        kind, payload = GRID_KIND_DENSITY, np.asarray(field.density(), dtype=np.float64)
+        kind, slabs = GRID_KIND_DENSITY, [field.density()]
     elif what == "components":
-        kind, payload = GRID_KIND_COMPONENTS, np.asarray(field.values, dtype=np.complex128)
+        kind = GRID_KIND_COMPONENTS
+        if "values" in field.__dict__:
+            slabs = [field.values]
+        else:
+            slabs = (t[:, None] * p[None, :] for t, p in zip(field.trans, field.profile))
     else:
         raise ValueError(f"unknown grid payload {what!r}")
     dy, dz = _spacing("y", field.y), _spacing("z", field.z)
@@ -274,7 +303,8 @@ def save_grid(path, field: SpinorField, what: str = "density") -> None:
     assert len(header) == 64
     with open(path, "wb") as fh:
         fh.write(header)
-        payload.tofile(fh)
+        for slab in slabs:
+            slab.tofile(fh)
 
 
 def load_grid(path):

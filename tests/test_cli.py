@@ -7,6 +7,7 @@ import pytest
 import kleinb.cli
 import kleinb.scattering
 import kleinb.states
+import kleinb.wavefield
 from kleinb import (
     KleinStepError,
     Spin,
@@ -79,6 +80,18 @@ class TestAmps:
                                  "--b", "0.1", "--n", "1", "--spin", "up")
         assert code == 2 and out == ""
         assert err.startswith("error: ValueError")
+
+    @pytest.mark.parametrize("n", [str(2 ** 53 + 1), "1" + "0" * 400])
+    def test_level_bound_exit(self, capsys, n):
+        # 10**400 used to end in an OverflowError traceback from C = 2 b n
+        code, out, err = run_cli(capsys, "amps", "--E", "2", "--V0", "1",
+                                 "--b", "0.1", "--n", n, "--spin", "down")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpinIndex")
+
+    def test_level_bound_accepted(self, capsys):
+        rec = amps_record(capsys, 1e9, 1.0, 0.1, 2 ** 53, "down")
+        assert rec["n"] == 2 ** 53 and rec["regime"] == "II"
 
 
 class TestSweep:
@@ -267,6 +280,23 @@ class TestSweepRowParity:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert rows[0][-1] == "ValueError" and rows[1][-1] == ""
 
+    def test_level_bound_rows(self, capsys):
+        # 2**53 is the largest n a float axis value holds exactly
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "n",
+                               "--values", f"1,{2 ** 53},{2 ** 54},1e20",
+                               "--E", "1e9", "--V0", "1", "--b", "0.1", "--spin", "down")
+        assert code == 0
+        errors = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+        assert errors == ["", "", "InvalidSpinIndex", "InvalidSpinIndex"]
+
+    @pytest.mark.parametrize("n", [str(2 ** 53 + 1), "1" + "0" * 400, "-" + "1" + "0" * 400])
+    def test_level_bound_fixed_n(self, capsys, n):
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "E", "--values", "2,3",
+                               "--V0", "1", "--b", "0.1", f"--n={n}", "--spin", "down")
+        assert code == 0
+        errors = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+        assert errors == ["InvalidSpinIndex", "InvalidSpinIndex"]
+
     def test_make_channel_runs_only_on_invalid_rows(self, capsys, monkeypatch):
         calls = []
 
@@ -375,8 +405,40 @@ class TestRegimeMap:
         )
         assert code == 2 and "NegativeField" in err
 
+    MAP = {"E-start": "1", "E-stop": "2", "V0-start": "0", "V0-stop": "1"}
+
+    @pytest.mark.parametrize("flag", sorted(MAP))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e200", "-1.0000000000000002e50"])
+    def test_bad_ends_rejected(self, capsys, flag, bad):
+        # nan used to print rows with V0 = nan, 1e200 a numpy overflow RuntimeWarning
+        ends = dict(self.MAP, **{flag: bad})
+        code, out, err = run_cli(capsys, "regime-map", *(f"--{k}={v}" for k, v in ends.items()))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: ValueError: --{flag} must be finite with magnitude")
+
+    def test_ends_at_energy_bound_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "regime-map", "--E-start=-1e50", "--E-stop=1e50",
+                               "--E-count=3", "--V0-start=0", "--V0-stop=1e50", "--V0-count=2",
+                               "--b=1", "--n=3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["I", "I", "III", "I", "II", "III"]
+        assert [r[3] for r in rows] == ["0", "0", "0", "0", "1", "1"]
+
 
 class TestFieldCommand:
+    def test_density_map_builds_no_grid(self, capsys, tmp_path, monkeypatch):
+        def no_grid(self):
+            raise AssertionError("the (4, ny, nz) grid was built")
+
+        monkeypatch.setattr(kleinb.wavefield.SpinorField, "values", property(no_grid))
+        code, _, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1", "--spin", "up",
+            "--what", "density", "--ny", "64", "--nz", "48",
+            "--out", str(tmp_path / "d.bin"), "--csv", str(tmp_path / "d.csv"),
+        )
+        assert code == 0, err
+
     def test_writes_grid_and_decaying_slice(self, capsys, tmp_path):
         out_bin = tmp_path / "f.bin"
         out_csv = tmp_path / "f.csv"
@@ -448,6 +510,21 @@ class TestFilterDelayCommand:
         code, _, err = run_cli(capsys, "filter-delay", "--E", "2", "--n", "1", "--b", "0.1",
                                "--branch", "transmitted", "--V0", "2")
         assert code == 2 and "EvanescentBranch" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--E", "1e200"],  # used to print "delay": 0, "cp_up": inf
+        ["--E", "2", "--branch", "transmitted", "--V0", "1e60"],
+    ])
+    def test_energy_bound_exit(self, capsys, flags):
+        code, out, err = run_cli(capsys, "filter-delay", "--n", "1", "--b", "0.1", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError")
+
+    def test_level_bound_exit(self, capsys):
+        code, out, err = run_cli(capsys, "filter-delay", "--E", "2", "--b", "0.1",
+                                 "--n", "1" + "0" * 400)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpinIndex")
 
 
 class TestSelftestCommand:

@@ -18,7 +18,7 @@ from kleinb import (
     classify,
     make_channel,
 )
-from kleinb.states import MAX_ENERGY, channel_error, channel_valid
+from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid
 
 
 def test_valid_channel():
@@ -142,6 +142,13 @@ def test_energy_bound():
             make_channel(e, v0, 0.1, Spin.UP, 1)
 
 
+def test_level_bound():
+    assert IncomingState(Spin.DOWN, MAX_LEVEL).n == 2 ** 53
+    for n in (MAX_LEVEL + 1, 10 ** 400):
+        with pytest.raises(InvalidSpinIndex, match="MAX_LEVEL"):
+            IncomingState(Spin.UP, n)
+
+
 def _make_channel_error(e, v0, b, n, up):
     try:
         make_channel(e, v0, b, Spin.UP if up else Spin.DOWN, n)
@@ -156,7 +163,7 @@ def test_array_rule_matches_make_channel():
     es = [-1.0, 0.0, 0.5, 1.0, 1.4955530238762225, 2.0, MAX_ENERGY, above, math.nan, math.inf]
     v0s = [-1.0, 0.0, 3.0, MAX_ENERGY, above, math.nan, -math.inf]
     bs = [-0.1, 0.0, 0.04416710168661831, 0.5, 1e300, math.nan, math.inf]
-    ns = [-1, 0, 1, 14, 2.5, math.inf]
+    ns = [-1, 0, 1, 14, 2.5, 2 ** 53, 2 ** 54, math.inf]
     grid = np.array(list(itertools.product(es, v0s, bs, ns, [False, True])))
     e, v0, b, n, up = grid.T
     up = up.astype(bool)

@@ -54,6 +54,14 @@ def reference_field(params, y, z, y0=0.0):
     return values, edges, [m.max() for m in magnitudes]
 
 
+def full_grid_current(field):
+    """Reference for integrated_current: the full-grid formula, trapezoid
+    over y of 2 Re(v0* v2) - 2 Re(v1* v3) on the (4, ny, nz) values."""
+    v = field.values
+    jz = 2.0 * np.real(np.conj(v[0]) * v[2]) - 2.0 * np.real(np.conj(v[1]) * v[3])
+    return np.trapezoid(jz, field.y, axis=0)
+
+
 def incident_only(params):
     zero = ScatterAmplitudes(R=0j, Rp=0j, T=0j, Tp=0j, regime=amplitudes(params).regime)
     return assemble_field(params, amps=zero, ny=257, nz=33)
@@ -163,6 +171,73 @@ class TestSeparableAssembly:
     ])
     def test_matches_per_piece_sum_at_special_points(self, args):
         self.assert_matches_reference(make_channel(*args), k_x=0.4)
+
+
+SPECIAL_POINTS = [
+    (2.0, 2.0, 0.3, Spin.UP, 1),     # E = V0: degenerate normalization
+    (2.0, 1.2, 0.0, Spin.DOWN, 0),   # b = 0, Phi_{-1} = 0
+    (2.0, 6.0, 0.0, Spin.UP, 2),     # b = 0, Klein regime
+]
+
+
+class TestFactorisedField:
+    def test_current_matches_full_grid_formula(self, param_grid):
+        worst = 0.0
+        for p in list(param_grid) + [make_channel(*args) for args in SPECIAL_POINTS]:
+            f = assemble_field(p, ny=65, nz=17)
+            zero = ScatterAmplitudes(R=0j, Rp=0j, T=0j, Tp=0j, regime=f.amps.regime)
+            # incident current from the reference formula; in regime III the
+            # transmitted current is 0 and the reference there is rounding noise
+            j_inc = full_grid_current(assemble_field(p, amps=zero, y=f.y, z=f.z[:1]))[0]
+            err = np.abs(integrated_current(f) - full_grid_current(f)).max() / j_inc
+            worst = max(worst, err)
+        assert worst <= 1e-14
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs an extended-precision long double")
+    def test_density_against_extended_precision(self, param_grid):
+        # the abs-squared reference above carries its own ~3.7 eps; this one
+        # squares the stored float factors in long double
+        eps = np.finfo(float).eps
+        for p in param_grid[:200]:
+            f = assemble_field(p, ny=65, nz=17)
+            t, re, im = (x.astype(np.longdouble) for x in (f.trans, f.profile.real, f.profile.imag))
+            exact = np.einsum("cy,cz->yz", t * t, re * re + im * im)
+            normal = exact > 1e-290  # subnormal squares carry no relative accuracy
+            assert np.all(np.abs(f.density() - exact)[normal] <= 2.5 * eps * exact[normal])
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_components_payload_is_values(self, tmp_path, param_grid, read_first):
+        points = list(param_grid[:30]) + [make_channel(*args) for args in SPECIAL_POINTS]
+        for p in points:
+            f = assemble_field(p, ny=33, nz=24, k_x=0.4)
+            if read_first:
+                f.values
+            save_grid(tmp_path / "comp.bin", f, what="components")
+            _, data = load_grid(tmp_path / "comp.bin")
+            assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
+
+    def test_factor_consumers_build_no_grid(self, tmp_path):
+        for args in [(2.0, 6.0, 0.2, Spin.UP, 1), *SPECIAL_POINTS]:
+            f = assemble_field(make_channel(*args), ny=40, nz=30)
+            f.density()
+            integrated_current(f)
+            continuity_residual(f)
+            boundary_values(f)
+            save_grid(tmp_path / "dens.bin", f, what="density")
+            save_grid(tmp_path / "comp.bin", f, what="components")
+            assert "values" not in f.__dict__
+            assert f.values is f.values  # built once, then kept
+
+    def test_current_temporaries_bounded(self):
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=500, nz=500)
+        tracemalloc.start()
+        try:
+            integrated_current(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 500 * 500 * 8
 
 
 class TestInputValidation:
