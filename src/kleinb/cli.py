@@ -32,7 +32,6 @@ from .scattering import amplitudes, amplitudes_batch, current_budget, klein_limi
 from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
     MAX_ENERGY,
-    MAX_LEVEL,
     REGIMES,
     ChannelParams,
     FieldStrength,
@@ -42,6 +41,7 @@ from .states import (
     channel_open,
     channel_valid,
     classify,
+    level_floats,
     make_channel,
     parse_spin,
     regime_codes,
@@ -192,10 +192,10 @@ def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str])
     make_channel runs only on the invalid rows, to name their error, and
     the valid rows are evaluated in one amplitudes_batch call.
     """
-    E, V0, b, n = np.broadcast_arrays(*(
-        np.asarray(values if key == axis else fixed[key], dtype=float)
-        for key in ("E", "V0", "b", "n")
-    ))
+    E, V0, b, n = np.broadcast_arrays(
+        *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
+        level_floats(values if axis == "n" else fixed["n"]),
+    )
     up = fixed["spin"] is Spin.UP
     valid = channel_valid(E, V0, b, n, up)
     errors = [""] * len(values)
@@ -240,9 +240,6 @@ def cmd_sweep(args) -> int:
     missing = [k for k, v in fixed.items() if v is None and k != axis]
     if missing:
         raise ValueError(f"missing fixed parameter(s): {', '.join(missing)}")
-    if axis != "n" and abs(fixed["n"]) > MAX_LEVEL:
-        # every row reads InvalidSpinIndex; inf stands in for an int too large for a float
-        fixed["n"] = math.inf
     values = _axis_values(args)
 
     if args.columns:

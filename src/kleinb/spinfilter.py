@@ -58,7 +58,7 @@ class FilterSetup:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= MAX_LEVEL:
             raise InvalidSpinIndex(
-                f"the filter needs a degenerate pair, 1 <= n <= MAX_LEVEL = 2**53, got {self.n!r}")
+                f"the filter needs a degenerate pair, 1 <= n <= MAX_LEVEL = {MAX_LEVEL}, got {self.n!r}")
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise NegativeField(f"field ratio b must be finite and >= 0, got {self.b}")
         if not math.isfinite(self.g):

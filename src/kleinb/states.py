@@ -32,9 +32,11 @@ UNIT_SYSTEM = "natural units: mc^2 = c = hbar = 1"
 #: has C = 2 b n < E^2, so C is bounded too.
 MAX_ENERGY = 1e50
 
-#: Largest level index n a channel accepts: 2**53, the largest n that a
-#: float n (as channel_valid and the sweep axis carry it) holds exactly.
-MAX_LEVEL = 2 ** 53
+#: Largest level index n a channel accepts: 2**53 - 1.  Every integer up
+#: to it is exact as a float, and every larger one converts to a float
+#: above it, so the float rule of channel_valid (and a sweep axis value)
+#: rejects exactly the n that IncomingState rejects.
+MAX_LEVEL = 2 ** 53 - 1
 
 
 class Spin(enum.Enum):
@@ -109,7 +111,7 @@ class IncomingState:
         if self.n < 0:
             raise InvalidSpinIndex(f"channel index n must be >= 0, got {self.n}")
         if self.n > MAX_LEVEL:
-            raise InvalidSpinIndex(f"channel index n must be <= MAX_LEVEL = 2**53, got {self.n}")
+            raise InvalidSpinIndex(f"channel index n must be <= MAX_LEVEL = {MAX_LEVEL}, got {self.n}")
         if self.spin is Spin.UP and self.n == 0:
             raise InvalidSpinIndex("spin-up requires n >= 1 (orbital index n - 1 must exist)")
 
@@ -204,6 +206,16 @@ def channel_valid(E, V0, b, n, up):
             & np.isfinite(b) & (b >= 0.0) & (n >= 0.0) & (n <= MAX_LEVEL) & (n == np.floor(n))
             & ~(up & (n == 0.0)) & channel_open(E, 2.0 * b * n)
         )
+
+
+def level_floats(n) -> np.ndarray:
+    """n (an int or a sequence of floats) as the float array channel_valid
+    takes.  An int too large for a float becomes +-(MAX_LEVEL + 1), which
+    the level rule rejects as it rejects n itself."""
+    try:
+        return np.asarray(n, dtype=float)
+    except OverflowError:
+        return np.asarray(float(MAX_LEVEL + 1 if n > 0 else -MAX_LEVEL - 1))
 
 
 def channel_error(E, V0, b, n, up) -> Exception:

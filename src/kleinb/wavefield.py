@@ -55,7 +55,7 @@ class SpinorField:
     The (4, ny, nz) grid ``values`` = trans x profile is built the first
     time it is read and then kept.  density, integrated_current,
     boundary_values and save_grid work on the factors and never build
-    it; save_grid writes it when it has been built already.
+    it.
     """
 
     y: np.ndarray
@@ -280,19 +280,15 @@ def save_grid(path, field: SpinorField, what: str = "density") -> None:
     followed by the payload in C order: ny*nz float64 densities, or
     4*ny*nz complex128 components (component index slowest).  Requires a
     uniformly spaced grid with a nonzero step (ValueError otherwise,
-    before the file is opened); dy and dz are the mean steps.  Unless
-    the field's values have been built already, components are written
-    one (ny, nz) slab at a time, each bit-identical to its slice of
-    values.
+    before the file is opened); dy and dz are the mean steps.
+    Components are written one (ny, nz) slab at a time from the factors,
+    each bit-identical to its slice of values; values is never built.
     """
     if what == "density":
         kind, slabs = GRID_KIND_DENSITY, [field.density()]
     elif what == "components":
         kind = GRID_KIND_COMPONENTS
-        if "values" in field.__dict__:
-            slabs = [field.values]
-        else:
-            slabs = (t[:, None] * p[None, :] for t, p in zip(field.trans, field.profile))
+        slabs = (t[:, None] * p[None, :] for t, p in zip(field.trans, field.profile))
     else:
         raise ValueError(f"unknown grid payload {what!r}")
     dy, dz = _spacing("y", field.y), _spacing("z", field.z)

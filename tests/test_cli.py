@@ -81,7 +81,7 @@ class TestAmps:
         assert code == 2 and out == ""
         assert err.startswith("error: ValueError")
 
-    @pytest.mark.parametrize("n", [str(2 ** 53 + 1), "1" + "0" * 400])
+    @pytest.mark.parametrize("n", [str(2 ** 53), str(2 ** 53 + 1), "1" + "0" * 400])
     def test_level_bound_exit(self, capsys, n):
         # 10**400 used to end in an OverflowError traceback from C = 2 b n
         code, out, err = run_cli(capsys, "amps", "--E", "2", "--V0", "1",
@@ -90,8 +90,8 @@ class TestAmps:
         assert err.startswith("error: InvalidSpinIndex")
 
     def test_level_bound_accepted(self, capsys):
-        rec = amps_record(capsys, 1e9, 1.0, 0.1, 2 ** 53, "down")
-        assert rec["n"] == 2 ** 53 and rec["regime"] == "II"
+        rec = amps_record(capsys, 1e9, 1.0, 0.1, 2 ** 53 - 1, "down")
+        assert rec["n"] == 2 ** 53 - 1 and rec["regime"] == "II"
 
 
 class TestSweep:
@@ -281,13 +281,13 @@ class TestSweepRowParity:
         assert rows[0][-1] == "ValueError" and rows[1][-1] == ""
 
     def test_level_bound_rows(self, capsys):
-        # 2**53 is the largest n a float axis value holds exactly
+        # the axis value 2**53 + 1 parses to the float 2**53, still above the bound
         code, out, _ = run_cli(capsys, "sweep", "--axis", "n",
-                               "--values", f"1,{2 ** 53},{2 ** 54},1e20",
+                               "--values", f"1,{2 ** 53 - 1},{2 ** 53},{2 ** 53 + 1},{2 ** 54},1e20",
                                "--E", "1e9", "--V0", "1", "--b", "0.1", "--spin", "down")
         assert code == 0
         errors = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
-        assert errors == ["", "", "InvalidSpinIndex", "InvalidSpinIndex"]
+        assert errors == ["", ""] + ["InvalidSpinIndex"] * 4
 
     @pytest.mark.parametrize("n", [str(2 ** 53 + 1), "1" + "0" * 400, "-" + "1" + "0" * 400])
     def test_level_bound_fixed_n(self, capsys, n):

@@ -18,7 +18,7 @@ from kleinb import (
     classify,
     make_channel,
 )
-from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid
+from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid, level_floats
 
 
 def test_valid_channel():
@@ -143,8 +143,8 @@ def test_energy_bound():
 
 
 def test_level_bound():
-    assert IncomingState(Spin.DOWN, MAX_LEVEL).n == 2 ** 53
-    for n in (MAX_LEVEL + 1, 10 ** 400):
+    assert IncomingState(Spin.DOWN, MAX_LEVEL).n == 2 ** 53 - 1
+    for n in (MAX_LEVEL + 1, 2 ** 53 + 1, 10 ** 400):
         with pytest.raises(InvalidSpinIndex, match="MAX_LEVEL"):
             IncomingState(Spin.UP, n)
 
@@ -157,13 +157,21 @@ def _make_channel_error(e, v0, b, n, up):
     return None
 
 
+def test_level_floats_rejected_beyond_float_range():
+    # an int too large for a float still reads as out of range, with its sign
+    n = level_floats(10 ** 400), level_floats(-(10 ** 400))
+    assert n[0] > MAX_LEVEL and n[1] < 0
+    assert not channel_valid(1e30, 0.0, 0.0, np.array(n), False).any()
+    assert level_floats(MAX_LEVEL) == MAX_LEVEL
+
+
 def test_array_rule_matches_make_channel():
     # every rule of make_channel, its edges and non-finite values
     above = math.nextafter(MAX_ENERGY, math.inf)
     es = [-1.0, 0.0, 0.5, 1.0, 1.4955530238762225, 2.0, MAX_ENERGY, above, math.nan, math.inf]
     v0s = [-1.0, 0.0, 3.0, MAX_ENERGY, above, math.nan, -math.inf]
     bs = [-0.1, 0.0, 0.04416710168661831, 0.5, 1e300, math.nan, math.inf]
-    ns = [-1, 0, 1, 14, 2.5, 2 ** 53, 2 ** 54, math.inf]
+    ns = [-1, 0, 1, 14, 2.5, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 54, math.inf]
     grid = np.array(list(itertools.product(es, v0s, bs, ns, [False, True])))
     e, v0, b, n, up = grid.T
     up = up.astype(bool)
