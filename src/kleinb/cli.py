@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -57,6 +58,16 @@ _VALIDATION_ERRORS = (
     EvanescentBranch, GridTooLarge, OscillatorRange, ValueError,
 )
 
+#: Most rows a sweep or a regime-map writes; checked before any row is
+#: built.  A full-column sweep of MAX_CSV_ROWS rows peaked at 578 MiB RSS
+#: (~1.4 KiB per row: the batch arrays, the lines and the joined text),
+#: about what selftest.MAX_SELFTEST_POINTS takes; a regime-map of as
+#: many cells peaked at 111 MiB.
+MAX_CSV_ROWS = 400_000
+
+#: Regime labels, indexed by regime code.
+REGIME_LABELS = tuple(r.value for r in REGIMES)
+
 SWEEP_VALUE_COLUMNS = (
     "re_R", "im_R", "re_Rp", "im_Rp", "re_T", "im_T", "re_Tp", "im_Tp",
     "refl_same", "refl_flip", "trans_same", "trans_flip", "sum",
@@ -73,6 +84,12 @@ def fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0
     return format(x, ".17g")
+
+
+def _text_floats(x) -> list:
+    """x as (nested lists of) Python floats ready for "%.17g": the bytes
+    fmt prints, -0.0 included (x + 0.0 turns it into +0.0)."""
+    return (np.asarray(x, dtype=float) + 0.0).tolist()
 
 
 def _json_value(v) -> str:
@@ -156,10 +173,12 @@ def _read_config(path: str) -> dict:
 def _axis_values(args) -> list[float]:
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
+        if len(values) > MAX_CSV_ROWS:
+            raise ValueError(f"sweep has {len(values)} values, more than MAX_CSV_ROWS = {MAX_CSV_ROWS}")
     elif args.start is None or args.stop is None:
         raise ValueError("sweep needs --values or --start/--stop/--count")
-    elif args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
+    elif not 1 <= args.count <= MAX_CSV_ROWS:
+        raise ValueError(f"count must be in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}], got {args.count}")
     elif args.count == 1:
         values = [args.start]
     else:
@@ -172,17 +191,13 @@ def _axis_values(args) -> list[float]:
     return values
 
 
-def _sweep_cells(batch, name: str, mask) -> list[str]:
-    """One CSV column over the masked points of a batch: the regime label
-    or a formatted value."""
-    if name == "regime":
-        return [REGIMES[r].value for r in batch.regime[mask].tolist()]
+def _value_column(batch, name: str) -> np.ndarray:
+    """One value column of a batch: a fraction, or the real or imaginary
+    part of an amplitude (re_R, im_Tp, ...)."""
     if name[:3] in ("re_", "im_"):
         z = getattr(batch, name[3:])
-        x = z.real if name[:3] == "re_" else z.imag
-    else:
-        x = getattr(batch, name)
-    return [fmt(v) for v in x[mask].tolist()]
+        return z.real if name[:3] == "re_" else z.imag
+    return getattr(batch, name)
 
 
 def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]) -> list[str]:
@@ -190,7 +205,8 @@ def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str])
 
     make_channel's rules run over all rows at once (channel_valid);
     make_channel runs only on the invalid rows, to name their error, and
-    the valid rows are evaluated in one amplitudes_batch call.
+    the valid rows are evaluated in one amplitudes_batch call.  Each row
+    is formatted by one %-template over its stacked values.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
@@ -206,12 +222,18 @@ def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str])
     for i in index[batch.singular].tolist():
         errors[i] = SingularStep.__name__
     shown = ~batch.singular
-    inner = header[1:-1]
-    middle = ["," * (len(inner) - 1)] * len(values)  # blank cells of an error row
-    columns = (_sweep_cells(batch, name, shown) for name in inner)
-    for i, cells in zip(index[shown].tolist(), zip(*columns)):
-        middle[i] = ",".join(cells)
-    return [f"{fmt(v)},{m},{e}" for v, m, e in zip(values, middle, errors)]
+    inner = header[2:-1]
+    table = np.empty((int(shown.sum()), len(inner)))
+    for j, name in enumerate(inner):
+        table[:, j] = _value_column(batch, name)[shown]
+    axis_values = _text_floats(values)
+    blank = "%.17g" + "," * (len(inner) + 2) + "%s"
+    lines = [blank % (x, e) if e else "" for x, e in zip(axis_values, errors)]
+    row = "%.17g,%s" + ",%.17g" * len(inner) + ","
+    labels = [REGIME_LABELS[r] for r in batch.regime[shown].tolist()]
+    for i, label, cells in zip(index[shown].tolist(), labels, _text_floats(table)):
+        lines[i] = row % (axis_values[i], label, *cells)
+    return lines
 
 
 _SWEEP_KEYS = {
@@ -269,14 +291,20 @@ def cmd_regime_map(args) -> int:
         if not (math.isfinite(x) and abs(x) <= MAX_ENERGY):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite with magnitude "
                              f"<= MAX_ENERGY = {MAX_ENERGY:g}, got {x}")
+    counts = (args.E_count, args.V0_count)
+    if min(counts) < 0 or max(*counts, args.E_count * args.V0_count) > MAX_CSV_ROWS:
+        raise ValueError(f"--E-count and --V0-count must be >= 0 with E-count x V0-count <= "
+                         f"MAX_CSV_ROWS = {MAX_CSV_ROWS}, got {args.E_count} x {args.V0_count}")
     es = np.linspace(args.E_start, args.E_stop, args.E_count)
     v0s = np.linspace(args.V0_start, args.V0_stop, args.V0_count)
     c = 2.0 * args.b * args.n
-    labels = [REGIMES[r].value for r in regime_codes(es[:, None], v0s[None, :], c).ravel().tolist()]
-    is_open = (channel_open(es, c) & (es > 0)).astype(int).tolist()
-    e_text, v0_text = [fmt(e) for e in es], [fmt(v0) for v0 in v0s]
-    rows = [f"{e},{v0},{labels[i * len(v0_text) + j]},{is_open[i]}"
-            for i, e in enumerate(e_text) for j, v0 in enumerate(v0_text)]
+    labels = [REGIME_LABELS[r] for r in regime_codes(es[:, None], v0s[None, :], c).ravel().tolist()]
+    is_open = (channel_open(es, c) & (es > 0)).tolist()
+    # each E and V0 is formatted once, for all the rows it appears in
+    e_text = ["%.17g" % e for e in _text_floats(es)]
+    v0_text = ["%.17g" % v0 for v0 in _text_floats(v0s)]
+    points = itertools.product(zip(e_text, is_open), v0_text)
+    rows = ["%s,%s,%s,%d" % (e, v0, label, o) for ((e, o), v0), label in zip(points, labels)]
     print("\n".join(["E,V0,regime,open", *rows]))
     return EXIT_OK
 
@@ -294,8 +322,8 @@ def cmd_field(args) -> int:
         row = int(np.argmin(np.abs(field.y - field.y0)))
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("z,density\n")
-            for k in range(field.z.size):
-                fh.write(f"{fmt(field.z[k])},{fmt(dens[row, k])}\n")
+            slice_rows = _text_floats(np.stack((field.z, dens[row]), axis=1))
+            fh.writelines("%.17g,%.17g\n" % (z, d) for z, d in slice_rows)
         written["csv"] = args.csv
     emit_json({
         "regime": classify(params).value,

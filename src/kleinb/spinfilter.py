@@ -44,7 +44,8 @@ class FilterSetup:
     E, b, n label the degenerate pair (1 <= n <= MAX_LEVEL); distance
     is the flight path from the step to the screen in Compton units; V0
     is required for the transmitted branch and ignored otherwise.  E
-    and |V0| are at most MAX_ENERGY, as for a channel.
+    is at most MAX_ENERGY and a given V0 lies in [0, MAX_ENERGY], as for
+    a channel.
     """
 
     E: float
@@ -66,6 +67,8 @@ class FilterSetup:
         if self.V0 is not None and not (math.isfinite(self.V0) and abs(self.V0) <= MAX_ENERGY):
             raise ValueError(
                 f"step height must be finite with |V0| <= MAX_ENERGY = 1e50, got {self.V0}")
+        if self.V0 is not None and self.V0 < 0.0:
+            raise ValueError(f"step height must be >= 0, got {self.V0}")
         if not (math.isfinite(self.E) and 0.0 < self.E <= MAX_ENERGY):
             raise ValueError(
                 f"total energy must be finite, > 0 and <= MAX_ENERGY = 1e50, got {self.E}")
@@ -114,7 +117,8 @@ def arrival_delay(setup: FilterSetup) -> float:
     Evaluated through the exact identity
     1/cp_up - 1/cp_down = b (g - 2) / (cp_up cp_down (cp_up + cp_down)),
     which avoids the catastrophic cancellation of subtracting two
-    nearly equal flight times.
+    nearly equal flight times.  Raises ValueError if the delay overflows
+    a double (a flight distance near the float range).
     """
     if setup.branch is Branch.REFLECTED:
         cp_up, cp_down = split_momenta(setup)
@@ -129,10 +133,13 @@ def arrival_delay(setup: FilterSetup) -> float:
         cp_up, cp_down = math.sqrt(up_sq), math.sqrt(down_sq)
         e_eff = abs(ebar)
     momentum_sq_split = setup.b * (setup.g - 2.0)  # cp_down^2 - cp_up^2, exactly
-    return (
+    delay = (
         setup.distance * e_eff * momentum_sq_split
         / (cp_up * cp_down * (cp_up + cp_down))
     )
+    if not math.isfinite(delay):
+        raise ValueError(f"arrival delay over flight distance {setup.distance} overflows a double")
+    return delay
 
 
 def arrival_delay_first_order(setup: FilterSetup) -> float:

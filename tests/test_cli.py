@@ -14,10 +14,11 @@ from kleinb import (
     amplitudes,
     classify,
     current_budget,
+    assemble_field,
     load_grid,
     make_channel,
 )
-from kleinb.cli import build_parser, fmt, main
+from kleinb.cli import MAX_CSV_ROWS, SWEEP_VALUE_COLUMNS, build_parser, fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +323,139 @@ class TestSweepRowParity:
         assert err.startswith("error: ValueError")
 
 
+def reference_sweep_csv(axis, values, fixed, columns=SWEEP_VALUE_COLUMNS):
+    """The sweep CSV from the scalar functions, each value printed by its
+    own fmt call: the reference for the one-template row writer."""
+    lines = [",".join(["axis_value", "regime", *columns, "error"])]
+    for text in values.split(","):
+        point = dict(fixed, **{axis: float(text)})
+        try:
+            params = make_channel(point["E"], point["V0"], point["b"], point["spin"], int(point["n"]))
+            amps = amplitudes(params)
+        except (ValueError, KleinStepError) as exc:
+            lines.append(",".join([fmt(float(text)), "", *[""] * len(columns), type(exc).__name__]))
+            continue
+        budget = current_budget(params, amps)
+        cells = {"sum": budget.sum}
+        for name in ("R", "Rp", "T", "Tp"):
+            z = getattr(amps, name)
+            cells[f"re_{name}"], cells[f"im_{name}"] = z.real, z.imag
+        for name in ("refl_same", "refl_flip", "trans_same", "trans_flip"):
+            cells[name] = getattr(budget, name)
+        lines.append(",".join([fmt(float(text)), amps.regime.value,
+                               *(fmt(cells[name]) for name in columns), ""]))
+    return "\n".join(lines) + "\n"
+
+
+BYTE_SWEEPS = [
+    # (axis, values, fixed flags, --columns or None)
+    ("V0", "-1,0,nan,inf,-inf,1e300,3,2.5,6,-0",
+     {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}, None),  # invalid and SingularStep rows
+    ("E", "nan,inf,-inf,-0,0.5,1,1.4955530238762225,2,3,1e50",
+     {"V0": 1.0, "b": 0.04416710168661831, "n": 14, "spin": "down"}, None),
+    ("b", "-0,0,0.25,nan,-0.1", {"E": 2.0, "V0": 6.0, "n": 1, "spin": "up"}, None),
+    ("n", "0,1,2,40,-1", {"E": 2.0, "V0": 1.0, "b": 0.1, "spin": "up"}, None),
+    ("V0", "0,1,3,6,nan", {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}, "refl_flip,re_Tp,sum"),
+    ("V0", "0,3,6", {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}, ","),  # no value column
+]
+
+
+class TestCsvBytes:
+    """The CSV writers format each row with one template; their bytes are
+    those of one fmt call per value."""
+
+    def sweep(self, capsys, axis, values, fixed, columns=None):
+        flags = [x for k, v in fixed.items() for x in (f"--{k}", str(v))]
+        if columns is not None:
+            flags.append(f"--columns={columns}")
+        code, out, err = run_cli(capsys, "sweep", "--axis", axis, f"--values={values}", *flags)
+        assert code == 0, err
+        return out
+
+    @pytest.mark.parametrize("axis, values, fixed, columns", BYTE_SWEEPS)
+    def test_sweep(self, capsys, axis, values, fixed, columns):
+        out = self.sweep(capsys, axis, values, fixed, columns)
+        selected = SWEEP_VALUE_COLUMNS if columns is None else [c for c in columns.split(",") if c]
+        assert out == reference_sweep_csv(axis, values, fixed, selected)
+
+    def test_error_and_singular_rows_present(self, capsys):
+        axis, values, fixed, _ = BYTE_SWEEPS[0]
+        errors = {line.split(",")[-1] for line in self.sweep(capsys, axis, values, fixed).splitlines()}
+        assert errors == {"error", "", "ValueError", "SingularStep"}
+
+    def test_field_free_negative_zeros(self, capsys):
+        # at b = 0 the spin-flip amplitudes of a spin-down electron are -0.0
+        values = "0,0.5,1,2.5,3.5,6,-0"
+        fixed = {"E": 2.0, "b": 0.0, "n": 0, "spin": "down"}
+        signs = [math.copysign(1.0, amplitudes(make_channel(2.0, v0, 0.0, "down", 0)).Rp.real)
+                 for v0 in (0.0, 0.5, 1.0, 3.5, 6.0)]
+        assert signs == [-1.0] * 5
+        out = self.sweep(capsys, "V0", values, fixed)
+        assert out == reference_sweep_csv("V0", values, fixed)
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        assert {row[4] for row in cells} == {row[-3] for row in cells} == {"0"}  # re_Rp, trans_flip
+        assert "-0" not in {c for row in cells for c in row}
+
+    def test_regime_map(self, capsys):
+        b, n = 0.5, 3
+        ends = {"E-start": "-0", "E-stop": "6", "E-count": "13",
+                "V0-start": "-0", "V0-stop": "9", "V0-count": "19"}
+        code, out, _ = run_cli(capsys, "regime-map", *(f"--{k}={v}" for k, v in ends.items()),
+                               f"--b={b}", f"--n={n}")
+        assert code == 0
+        c = 2.0 * b * n
+        lines = ["E,V0,regime,open"]
+        for e in np.linspace(-0.0, 6.0, 13).tolist():
+            is_open = int(kleinb.states.channel_open(e, c) and e > 0)
+            for v0 in np.linspace(-0.0, 9.0, 19).tolist():
+                regime = kleinb.states.REGIMES[int(kleinb.states.regime_codes(e, v0, c))].value
+                lines.append(f"{fmt(e)},{fmt(v0)},{regime},{is_open}")
+        assert out == "\n".join(lines) + "\n"
+
+    def test_field_slice(self, capsys, tmp_path):
+        out_csv = tmp_path / "slice.csv"
+        code, _, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "2.5", "--b", "0.3", "--n", "2", "--spin", "up",
+            "--ny", "33", "--nz", "41", "--out", str(tmp_path / "f.bin"), "--csv", str(out_csv),
+        )
+        assert code == 0, err
+        field = assemble_field(make_channel(2.0, 2.5, 0.3, "up", 2), ny=33, nz=41)
+        dens = field.density()
+        row = int(np.argmin(np.abs(field.y - field.y0)))
+        want = "z,density\n" + "".join(f"{fmt(z)},{fmt(d)}\n" for z, d in zip(field.z, dens[row]))
+        assert out_csv.read_text() == want
+
+
+class TestCsvRowBound:
+    """MAX_CSV_ROWS is checked before any row is built."""
+
+    def test_sweep_count(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "E", "--start", "2", "--stop", "3",
+                                 "--count", str(MAX_CSV_ROWS + 1), "--V0", "1", "--b", "0.1",
+                                 "--n", "1", "--spin", "down")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: count must be in [1, MAX_CSV_ROWS")
+
+    def test_sweep_values(self, capsys):
+        values = ",".join(["2"] * (MAX_CSV_ROWS + 1))
+        code, out, err = run_cli(capsys, "sweep", "--axis", "E", "--values", values, "--V0", "1",
+                                 "--b", "0.1", "--n", "1", "--spin", "down")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError") and "MAX_CSV_ROWS" in err
+
+    @pytest.mark.parametrize("counts", [
+        (MAX_CSV_ROWS + 1, 1), (1, MAX_CSV_ROWS + 1), (633, 633),
+        (MAX_CSV_ROWS + 1, 0), (-1, MAX_CSV_ROWS + 1),
+    ])
+    def test_regime_map_cells(self, capsys, counts):
+        assert 633 * 633 > MAX_CSV_ROWS
+        code, out, err = run_cli(capsys, "regime-map", "--E-start=1", "--E-stop=2",
+                                 f"--E-count={counts[0]}", "--V0-start=0", "--V0-stop=1",
+                                 f"--V0-count={counts[1]}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: --E-count and --V0-count")
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
@@ -519,6 +653,23 @@ class TestFilterDelayCommand:
         code, out, err = run_cli(capsys, "filter-delay", "--n", "1", "--b", "0.1", *flags)
         assert code == 2 and out == ""
         assert err.startswith("error: ValueError")
+
+    @pytest.mark.parametrize("si", [[], ["--si"]])
+    @pytest.mark.parametrize("flags", [
+        ["--E", "2", "--distance", "1e308"],  # used to print "delay": inf
+        ["--E", "1e50", "--distance", "1e300"],
+    ])
+    def test_overflowing_delay_exit(self, capsys, flags, si):
+        code, out, err = run_cli(capsys, "filter-delay", "--n", "1", "--b", "0.1", *flags, *si)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: arrival delay over flight distance 1e+30")
+
+    @pytest.mark.parametrize("branch", ["reflected", "transmitted"])
+    def test_negative_step_exit(self, capsys, branch):
+        code, out, err = run_cli(capsys, "filter-delay", "--E", "2", "--n", "1", "--b", "0.1",
+                                 "--branch", branch, "--V0=-3")
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: step height must be >= 0, got -3.0\n"
 
     def test_level_bound_exit(self, capsys):
         code, out, err = run_cli(capsys, "filter-delay", "--E", "2", "--b", "0.1",

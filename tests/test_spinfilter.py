@@ -48,6 +48,13 @@ class TestSplitMomenta:
         with pytest.raises(ValueError):
             FilterSetup(E=2.0, n=1, b=0.1, branch=Branch.TRANSMITTED)  # V0 missing
 
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_negative_step_rejected(self, branch):
+        # the same rule and message as make_channel
+        with pytest.raises(ValueError, match=r"^step height must be >= 0, got -3.0$"):
+            setup(branch=branch, V0=-3.0)
+        assert setup(branch=branch, V0=0.0).V0 == 0.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(NegativeField):
@@ -71,6 +78,15 @@ class TestArrivalDelay:
         one = arrival_delay(setup(distance=1.0))
         assert arrival_delay(setup(distance=2.0)) == 2.0 * one
         assert arrival_delay(setup(distance=1e6)) == pytest.approx(1e6 * one, rel=1e-15)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(distance=1e308),
+        dict(E=1e50, distance=1e300),
+        dict(E=5.0, V0=2.0, branch=Branch.TRANSMITTED, distance=1e308),
+    ])
+    def test_overflowing_delay_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="flight distance"):
+            arrival_delay(setup(**kwargs))
 
     def test_monotone_and_odd_in_g_minus_2(self):
         gs = np.linspace(1.99, 2.01, 21)
