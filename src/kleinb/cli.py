@@ -59,11 +59,15 @@ _VALIDATION_ERRORS = (
 )
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
-#: built.  A full-column sweep of MAX_CSV_ROWS rows peaked at 578 MiB RSS
-#: (~1.4 KiB per row: the batch arrays, the lines and the joined text),
-#: about what selftest.MAX_SELFTEST_POINTS takes; a regime-map of as
-#: many cells peaked at 111 MiB.
+#: built.  The lines are formatted and written CSV_CHUNK_LINES at a time,
+#: so a full-column sweep of MAX_CSV_ROWS rows peaked at 310 MiB RSS
+#: (~0.8 KiB per row, mostly the batch arrays and the value table) and a
+#: regime-map of as many cells at 35 MiB.
 MAX_CSV_ROWS = 400_000
+
+#: Lines formatted and written at a time by the sweep and regime-map
+#: writers.
+CSV_CHUNK_LINES = 4096
 
 #: Regime labels, indexed by regime code.
 REGIME_LABELS = tuple(r.value for r in REGIMES)
@@ -191,6 +195,15 @@ def _axis_values(args) -> list[float]:
     return values
 
 
+def _write_csv(out, header: str, lines) -> None:
+    """Write the header and the lines, each ended by a newline, a chunk
+    of lines per write, so the whole text is never held as one string."""
+    out.write(header + "\n")
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, CSV_CHUNK_LINES)):
+        out.write("\n".join(chunk) + "\n")
+
+
 def _value_column(batch, name: str) -> np.ndarray:
     """One value column of a batch: a fraction, or the real or imaginary
     part of an amplitude (re_R, im_Tp, ...)."""
@@ -200,13 +213,15 @@ def _value_column(batch, name: str) -> np.ndarray:
     return getattr(batch, name)
 
 
-def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]) -> list[str]:
-    """CSV lines of the header's columns, one per axis value.
+def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]):
+    """CSV lines of the header's columns, one per axis value, formatted
+    as they are read.
 
     make_channel's rules run over all rows at once (channel_valid);
     make_channel runs only on the invalid rows, to name their error, and
-    the valid rows are evaluated in one amplitudes_batch call.  Each row
-    is formatted by one %-template over its stacked values.
+    the valid rows are evaluated in one amplitudes_batch call, all before
+    this returns.  Each row is formatted by one %-template over its
+    stacked values.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
@@ -226,14 +241,14 @@ def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str])
     table = np.empty((int(shown.sum()), len(inner)))
     for j, name in enumerate(inner):
         table[:, j] = _value_column(batch, name)[shown]
-    axis_values = _text_floats(values)
     blank = "%.17g" + "," * (len(inner) + 2) + "%s"
-    lines = [blank % (x, e) if e else "" for x, e in zip(axis_values, errors)]
     row = "%.17g,%s" + ",%.17g" * len(inner) + ","
-    labels = [REGIME_LABELS[r] for r in batch.regime[shown].tolist()]
-    for i, label, cells in zip(index[shown].tolist(), labels, _text_floats(table)):
-        lines[i] = row % (axis_values[i], label, *cells)
-    return lines
+    # the rows without an error are the shown ones, in table order
+    labels = iter([REGIME_LABELS[r] for r in batch.regime[shown].tolist()])
+    cells = itertools.chain.from_iterable(
+        _text_floats(table[i:i + CSV_CHUNK_LINES]) for i in range(0, len(table), CSV_CHUNK_LINES))
+    return (blank % (x, e) if e else row % (x, next(labels), *next(cells))
+            for x, e in zip(_text_floats(values), errors))
 
 
 _SWEEP_KEYS = {
@@ -276,7 +291,7 @@ def cmd_sweep(args) -> int:
     lines = _sweep_lines(axis, values, fixed, header)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        print("\n".join([",".join(header), *lines]), file=out)
+        _write_csv(out, ",".join(header), lines)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -304,8 +319,8 @@ def cmd_regime_map(args) -> int:
     e_text = ["%.17g" % e for e in _text_floats(es)]
     v0_text = ["%.17g" % v0 for v0 in _text_floats(v0s)]
     points = itertools.product(zip(e_text, is_open), v0_text)
-    rows = ["%s,%s,%s,%d" % (e, v0, label, o) for ((e, o), v0), label in zip(points, labels)]
-    print("\n".join(["E,V0,regime,open", *rows]))
+    rows = ("%s,%s,%s,%d" % (e, v0, label, o) for ((e, o), v0), label in zip(points, labels))
+    _write_csv(sys.stdout, "E,V0,regime,open", rows)
     return EXIT_OK
 
 

@@ -85,34 +85,38 @@ def level_energy(spin: Spin, n: int, cp: float, b: float, V: float = 0.0) -> flo
     return math.sqrt(cp * cp + 1.0 + c) + V
 
 
-def _cp(E, C):
-    # (E - 1)(E + 1) keeps full precision where E*E - 1 would cancel
-    return np.sqrt((E - 1.0) * (E + 1.0) - C)
+def momentum_sq(E, V0, C):
+    """Squared longitudinal momentum (E - V0)^2 - 1 - C, scalar or array.
+
+    Evaluated as (x - 1)(x + 1) - C, which is free of the cancellation
+    in x^2 - 1 near |x| = 1.  x = E - V0 is carried as its rounded value
+    plus the exact rounding error, so x -/+ 1 keeps full precision even
+    when the rounding of E - V0 is comparable to |x| - 1.  V0 = 0 gives
+    cp^2 on the V = 0 side.
+    """
+    ebar = E - V0
+    # Knuth's TwoSum: E - V0 == ebar + err exactly
+    v = ebar - E
+    err = (E - (ebar - v)) - (V0 + v)
+    return ((ebar - 1.0) + err) * ((ebar + 1.0) + err) - C
 
 
 def longitudinal_momenta(E, V0, C, regime):
     """Longitudinal momenta (cp, cq) over arrays, regime from regime_codes.
 
     cp^2 = E^2 - 1 - C on the V = 0 side and cq^2 = (E - V0)^2 - 1 - C
-    on the step side, C = 2 b n, both evaluated as (x - 1)(x + 1) - C,
-    which is free of the cancellation in x^2 - 1 near |x| = 1.  On the
-    step side x = E - V0 is carried as its rounded value plus the exact
-    rounding error, so x -/+ 1 keeps full precision even when the
-    rounding of E - V0 is comparable to |x| - 1.  Branch convention: in
-    the propagating regimes cq carries the sign of E - V0, so the
-    transmitted group velocity cq/(E - V0) points away from the step; in
-    the evanescent regime cq = +i|cq| so the wave decays for z > 0.
+    on the step side, C = 2 b n, both from momentum_sq.  Branch
+    convention: in the propagating regimes cq carries the sign of
+    E - V0, so the transmitted group velocity cq/(E - V0) points away
+    from the step; in the evanescent regime cq = +i|cq| so the wave
+    decays for z > 0.
     """
-    cp = _cp(E, C)
-    ebar = E - V0
-    # Knuth's TwoSum: E - V0 == ebar + err exactly
-    v = ebar - E
-    err = (E - (ebar - v)) - (V0 + v)
-    q2 = ((ebar - 1.0) + err) * ((ebar + 1.0) + err) - C
+    cp = np.sqrt(momentum_sq(E, 0.0, C))
+    q2 = momentum_sq(E, V0, C)
     evanescent = regime == EVANESCENT
     mag = np.sqrt(np.maximum(np.where(evanescent, -q2, q2), 0.0))
     cq = np.empty(np.shape(mag), dtype=complex)
-    cq.real = np.where(evanescent, 0.0, np.where(ebar > 0.0, mag, -mag))
+    cq.real = np.where(evanescent, 0.0, np.where(E - V0 > 0.0, mag, -mag))
     cq.imag = np.where(evanescent, mag, 0.0)
     return cp, cq
 
@@ -122,7 +126,7 @@ def momentum_left(params: ChannelParams) -> float:
 
     Positive by construction: ChannelParams guarantees an open channel.
     """
-    return float(_cp(params.E, params.C))
+    return math.sqrt(momentum_sq(params.E, 0.0, params.C))
 
 
 def momentum_right(params: ChannelParams) -> complex:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ClosedChannel, EvanescentBranch, InvalidSpinIndex, NegativeField
-from .states import MAX_ENERGY, MAX_LEVEL
+from .errors import ClosedChannel, EvanescentBranch
+from .landau import momentum_sq
+from .states import FieldStrength, IncomingState, Spin, check_energies
 
 #: Electron spin g-factor including radiative corrections.
 G_ELECTRON = 2.002319
@@ -41,11 +42,12 @@ class Branch(enum.Enum):
 class FilterSetup:
     """Parameters of one filter configuration.
 
-    E, b, n label the degenerate pair (1 <= n <= MAX_LEVEL); distance
-    is the flight path from the step to the screen in Compton units; V0
-    is required for the transmitted branch and ignored otherwise.  E
-    is at most MAX_ENERGY and a given V0 lies in [0, MAX_ENERGY], as for
-    a channel.
+    E, b, n label the degenerate pair; distance is the flight path from
+    the step to the screen in Compton units; V0 is required for the
+    transmitted branch and ignored otherwise.  b, n, E and a given V0
+    follow the rules of a channel (make_channel) and raise its errors,
+    n those of the spin-up member (orbital index n - 1), so
+    1 <= n <= MAX_LEVEL.
     """
 
     E: float
@@ -57,50 +59,48 @@ class FilterSetup:
     V0: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= MAX_LEVEL:
-            raise InvalidSpinIndex(
-                f"the filter needs a degenerate pair, 1 <= n <= MAX_LEVEL = {MAX_LEVEL}, got {self.n!r}")
-        if not (math.isfinite(self.b) and self.b >= 0.0):
-            raise NegativeField(f"field ratio b must be finite and >= 0, got {self.b}")
+        FieldStrength(self.b)
+        IncomingState(Spin.UP, self.n)
+        check_energies(self.E, 0.0 if self.V0 is None else self.V0)
         if not math.isfinite(self.g):
             raise ValueError(f"g-factor must be finite, got {self.g}")
-        if self.V0 is not None and not (math.isfinite(self.V0) and abs(self.V0) <= MAX_ENERGY):
-            raise ValueError(
-                f"step height must be finite with |V0| <= MAX_ENERGY = 1e50, got {self.V0}")
-        if self.V0 is not None and self.V0 < 0.0:
-            raise ValueError(f"step height must be >= 0, got {self.V0}")
-        if not (math.isfinite(self.E) and 0.0 < self.E <= MAX_ENERGY):
-            raise ValueError(
-                f"total energy must be finite, > 0 and <= MAX_ENERGY = 1e50, got {self.E}")
         if not (math.isfinite(self.distance) and self.distance >= 0.0):
             raise ValueError(f"flight distance must be >= 0, got {self.distance}")
         if self.branch is Branch.TRANSMITTED and self.V0 is None:
             raise ValueError("transmitted branch requires V0")
 
 
-def _pair_momenta_sq(e_kin_sq: float, n: int, b: float, g: float) -> tuple[float, float]:
-    # base is the g = 2 momentum; the split is symmetric, +-(g-2) b / 2,
-    # so g = 2 restores bit-identical degenerate momenta
-    base = e_kin_sq - 1.0 - 2.0 * b * n
-    shift = 0.5 * (g - 2.0) * b
-    return base - shift, base + shift
+def _open_pair(setup: FilterSetup) -> tuple[float, float, float]:
+    """(cp_up, cp_down, |x|) on the setup's branch, x = E (reflected) or
+    E - V0 (transmitted), as split_momenta describes."""
+    V0 = setup.V0 if setup.branch is Branch.TRANSMITTED else 0.0
+    base = momentum_sq(setup.E, V0, FieldStrength(setup.b).c_n(setup.n))
+    # the split is symmetric, so g = 2 gives bit-identical momenta
+    shift = 0.5 * (setup.g - 2.0) * setup.b
+    up_sq, down_sq = base - shift, base + shift
+    if not (up_sq > 0.0 and down_sq > 0.0):
+        if setup.branch is Branch.REFLECTED:
+            raise ClosedChannel(
+                f"pair not open at E = {setup.E}: cp_up^2 = {up_sq:.6g}, cp_down^2 = {down_sq:.6g}"
+            )
+        raise EvanescentBranch("transmitted wave is evanescent (or at threshold) for this setup")
+    return math.sqrt(up_sq), math.sqrt(down_sq), abs(setup.E - V0)
 
 
 def split_momenta(setup: FilterSetup) -> tuple[float, float]:
-    """Longitudinal momenta (cp_up, cp_down) of the pair members at energy E.
+    """Longitudinal momenta (cp_up, cp_down) of the pair members on the
+    setup's branch.
 
-    cp_s^2 = E^2 - 1 - 2 b (n_orb + 1/2) - g b s_z with
-    (n_orb, s_z) = (n-1, +1/2) for the up member and (n, -1/2) for the
-    down member.  For g > 2 the up member is the higher level, so
-    cp_up < cp_down.  Raises ClosedChannel if either momentum is not
-    real and positive.
+    cp_s^2 = x^2 - 1 - 2 b (n_orb + 1/2) - g b s_z with x = E (E - V0
+    on the transmitted branch) and (n_orb, s_z) = (n-1, +1/2) for the
+    up member and (n, -1/2) for the down member: the g = 2 momentum of
+    landau.momentum_sq shifted by -+(g - 2) b / 2.  For g > 2 the up
+    member is the higher level, so cp_up < cp_down.  Raises
+    ClosedChannel (EvanescentBranch on the transmitted branch) if either
+    momentum is not real and positive.
     """
-    up_sq, down_sq = _pair_momenta_sq(setup.E * setup.E, setup.n, setup.b, setup.g)
-    if up_sq <= 0.0 or down_sq <= 0.0:
-        raise ClosedChannel(
-            f"pair not open at E = {setup.E}: cp_up^2 = {up_sq:.6g}, cp_down^2 = {down_sq:.6g}"
-        )
-    return math.sqrt(up_sq), math.sqrt(down_sq)
+    cp_up, cp_down, _ = _open_pair(setup)
+    return cp_up, cp_down
 
 
 def arrival_delay(setup: FilterSetup) -> float:
@@ -117,26 +117,13 @@ def arrival_delay(setup: FilterSetup) -> float:
     Evaluated through the exact identity
     1/cp_up - 1/cp_down = b (g - 2) / (cp_up cp_down (cp_up + cp_down)),
     which avoids the catastrophic cancellation of subtracting two
-    nearly equal flight times.  Raises ValueError if the delay overflows
-    a double (a flight distance near the float range).
+    nearly equal flight times.  The delay per unit distance is formed
+    first and multiplied by d last, so ValueError is raised only when
+    the delay itself overflows a double.
     """
-    if setup.branch is Branch.REFLECTED:
-        cp_up, cp_down = split_momenta(setup)
-        e_eff = setup.E
-    else:
-        ebar = setup.E - setup.V0
-        up_sq, down_sq = _pair_momenta_sq(ebar * ebar, setup.n, setup.b, setup.g)
-        if up_sq <= 0.0 or down_sq <= 0.0:
-            raise EvanescentBranch(
-                "transmitted wave is evanescent (or at threshold) for this setup"
-            )
-        cp_up, cp_down = math.sqrt(up_sq), math.sqrt(down_sq)
-        e_eff = abs(ebar)
-    momentum_sq_split = setup.b * (setup.g - 2.0)  # cp_down^2 - cp_up^2, exactly
-    delay = (
-        setup.distance * e_eff * momentum_sq_split
-        / (cp_up * cp_down * (cp_up + cp_down))
-    )
+    cp_up, cp_down, x = _open_pair(setup)
+    momentum_sq_split = setup.b * (setup.g - 2.0)  # cp_down^2 - cp_up^2
+    delay = x * momentum_sq_split / (cp_up * cp_down * (cp_up + cp_down)) * setup.distance
     if not math.isfinite(delay):
         raise ValueError(f"arrival delay over flight distance {setup.distance} overflows a double")
     return delay
@@ -149,14 +136,5 @@ def arrival_delay_first_order(setup: FilterSetup) -> float:
     b (g - 2) and cp the degenerate momentum at g = 2 (E -> |E - V0|
     for the transmitted branch).
     """
-    if setup.branch is Branch.REFLECTED:
-        e_eff = setup.E
-    else:
-        e_eff = abs(setup.E - setup.V0)
-    base = e_eff * e_eff - 1.0 - 2.0 * setup.b * setup.n
-    if base <= 0.0:
-        raise (ClosedChannel if setup.branch is Branch.REFLECTED else EvanescentBranch)(
-            "pair not open at g = 2 for this setup"
-        )
-    cp = math.sqrt(base)
-    return setup.distance * e_eff * setup.b * (setup.g - 2.0) / (2.0 * cp ** 3)
+    cp, _, x = _open_pair(replace(setup, g=2.0))
+    return x * setup.b * (setup.g - 2.0) / (2.0 * cp ** 3) * setup.distance

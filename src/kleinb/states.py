@@ -132,14 +132,7 @@ class ChannelParams:
     state: IncomingState
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.E) and math.isfinite(self.V0)):
-            raise ValueError("E and V0 must be finite")
-        if self.E <= 0.0:
-            raise ValueError(f"total energy must be > 0, got {self.E}")
-        if self.V0 < 0.0:
-            raise ValueError(f"step height must be >= 0, got {self.V0}")
-        if max(self.E, self.V0) > MAX_ENERGY:
-            raise ValueError(f"E and V0 must be <= MAX_ENERGY = {MAX_ENERGY:g}")
+        check_energies(self.E, self.V0)
         if not channel_open(self.E, self.C):
             raise ClosedChannel(
                 f"channel closed: E^2 = {self.E * self.E:.6g} <= 1 + 2 b n = {1.0 + self.C:.6g}"
@@ -162,6 +155,20 @@ class ChannelParams:
     def channel_mass(self) -> float:
         """Effective mass M_n = sqrt(1 + 2 b n) of the channel."""
         return math.sqrt(1.0 + self.C)
+
+
+def check_energies(E: float, V0: float) -> None:
+    """The E and V0 rules of a channel: both finite, E > 0, V0 >= 0 and
+    both at most MAX_ENERGY.  Raises ValueError; channel_valid is the
+    same rule over arrays."""
+    if not (math.isfinite(E) and math.isfinite(V0)):
+        raise ValueError("E and V0 must be finite")
+    if E <= 0.0:
+        raise ValueError(f"total energy must be > 0, got {E}")
+    if V0 < 0.0:
+        raise ValueError(f"step height must be >= 0, got {V0}")
+    if max(E, V0) > MAX_ENERGY:
+        raise ValueError(f"E and V0 must be <= MAX_ENERGY = {MAX_ENERGY:g}")
 
 
 def parse_spin(spin: Spin | str) -> Spin:

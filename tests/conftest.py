@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from kleinb import G_ELECTRON
 from kleinb.selftest import resolve_seed, sample_grid
 
 
@@ -21,3 +23,21 @@ def rng(seed):
 def param_grid(seed):
     """Medium seeded grid spanning regimes, spins, n <= 20, b <= 1."""
     return sample_grid(600, seed)
+
+
+def _delay_reference(E, n, b, g=G_ELECTRON, distance=1.0, V0=0.0):
+    """arrival_delay as the direct difference of the two flight times,
+    taking the float inputs as exact.  The difference cancels about
+    log10(E^2 / ((g - 2) b)) digits, 104 at E = 1e50, so it runs at 160."""
+    with mpmath.workdps(160):
+        x = abs(mpmath.mpf(E) - mpmath.mpf(V0))
+        base = x * x - 1 - 2 * mpmath.mpf(b) * n
+        shift = (mpmath.mpf(g) - 2) * mpmath.mpf(b) / 2
+        flight = x * mpmath.mpf(distance)
+        return flight / mpmath.sqrt(base - shift) - flight / mpmath.sqrt(base + shift)
+
+
+@pytest.fixture(scope="session")
+def delay_reference():
+    """The extended-precision spin-filter delay, an mpmath number."""
+    return _delay_reference

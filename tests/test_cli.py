@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -656,13 +657,21 @@ class TestFilterDelayCommand:
 
     @pytest.mark.parametrize("si", [[], ["--si"]])
     @pytest.mark.parametrize("flags", [
-        ["--E", "2", "--distance", "1e308"],  # used to print "delay": inf
-        ["--E", "1e50", "--distance", "1e300"],
+        ["--E", "2", "--b", "0.1", "--distance", "1e308"],
+        ["--E", "1e50", "--b", "0.1", "--distance", "1e300"],
+        ["--E", "1.000000000001", "--b", "1e-13", "--distance", "1e308"],
     ])
-    def test_overflowing_delay_exit(self, capsys, flags, si):
-        code, out, err = run_cli(capsys, "filter-delay", "--n", "1", "--b", "0.1", *flags, *si)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ValueError: arrival delay over flight distance 1e+30")
+    def test_overflowing_delay_exit(self, capsys, flags, si, delay_reference):
+        # exit 2 exactly when the true delay is beyond the double range
+        code, out, err = run_cli(capsys, "filter-delay", "--n", "1", *flags, *si)
+        args = {k: float(v) for k, v in zip(flags[::2], flags[1::2])}
+        want = delay_reference(args["--E"], 1, args["--b"], distance=args["--distance"])
+        if want > sys.float_info.max:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ValueError: arrival delay over flight distance 1e+308")
+        else:
+            assert code == 0, err
+            assert abs(json.loads(out)["delay"] / want - 1) < 1e-15
 
     @pytest.mark.parametrize("branch", ["reflected", "transmitted"])
     def test_negative_step_exit(self, capsys, branch):

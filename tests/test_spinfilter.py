@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from kleinb import (
     FilterSetup,
     G_ELECTRON,
     InvalidSpinIndex,
+    KleinStepError,
     NegativeField,
+    Spin,
     arrival_delay,
     arrival_delay_first_order,
+    make_channel,
     split_momenta,
 )
 
@@ -65,6 +70,24 @@ class TestSplitMomenta:
             setup(branch=Branch.TRANSMITTED, V0=bad)
 
 
+
+@pytest.mark.parametrize("bad", [
+    dict(E=0.0), dict(E=-1.0), dict(E=math.nan), dict(E=math.inf), dict(E=1e51),
+    dict(V0=-3.0), dict(V0=math.nan), dict(V0=1e60),
+    dict(b=-0.1), dict(b=math.nan),
+    dict(n=2 ** 53), dict(n=2.0), dict(n=True),
+])
+def test_rules_match_make_channel(bad):
+    # the filter's E, V0, b and n rules are the channel's, message included
+    point = {"E": 2.0, "V0": 1.0, "b": 0.1, "n": 1, **bad}
+    with pytest.raises((ValueError, KleinStepError)) as want:
+        make_channel(point["E"], point["V0"], point["b"], Spin.UP, point["n"])
+    for branch in Branch:
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$") as got:
+            FilterSetup(**point, branch=branch)
+        assert type(got.value) is want.type
+
+
 class TestArrivalDelay:
     def test_zero_at_g2(self):
         assert arrival_delay(setup(g=2.0)) == 0.0
@@ -83,10 +106,27 @@ class TestArrivalDelay:
         dict(distance=1e308),
         dict(E=1e50, distance=1e300),
         dict(E=5.0, V0=2.0, branch=Branch.TRANSMITTED, distance=1e308),
+        dict(E=1.000000000001, b=1e-13, distance=1e308),  # 48 per unit distance
     ])
-    def test_overflowing_delay_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="flight distance"):
-            arrival_delay(setup(**kwargs))
+    def test_overflowing_delay_rejected(self, kwargs, delay_reference):
+        # rejected exactly when the true delay is beyond the double range
+        s = setup(**kwargs)
+        want = delay_reference(s.E, s.n, s.b, s.g, s.distance, s.V0 or 0.0)
+        if want > sys.float_info.max:
+            with pytest.raises(ValueError, match="flight distance"):
+                arrival_delay(s)
+        else:
+            assert abs(arrival_delay(s) / want - 1) < 1e-15
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(E=1 + 1e-7),
+        dict(E=3.0000001, V0=2.0, branch=Branch.TRANSMITTED),
+    ])
+    def test_threshold_accuracy(self, kwargs, delay_reference):
+        # cp^2 = x^2 - 1 - 2 b n cancels near the pair threshold |x| = 1
+        s = setup(b=1e-8, **kwargs)
+        want = delay_reference(s.E, s.n, s.b, s.g, s.distance, s.V0 or 0.0)
+        assert abs(arrival_delay(s) / want - 1) < 1e-15
 
     def test_monotone_and_odd_in_g_minus_2(self):
         gs = np.linspace(1.99, 2.01, 21)
