@@ -26,20 +26,16 @@ from .errors import (
 from .landau import (
     MAX_OSCILLATOR_INDEX,
     eval_oscillator,
-    level_energy,
     momentum_left,
     momentum_right,
 )
 from .scattering import (
     BatchAmplitudes,
     CurrentBudget,
-    KinematicFactor,
     ScatterAmplitudes,
     amplitudes,
     amplitudes_batch,
     current_budget,
-    h0_amplitudes,
-    kinematic_factor,
     klein_limit,
     solve_boundary_batch,
     solve_boundary_system,
@@ -53,7 +49,6 @@ from .spinfilter import (
     split_momenta,
 )
 from .states import (
-    UNIT_SYSTEM,
     ChannelParams,
     FieldStrength,
     IncomingState,
@@ -75,7 +70,6 @@ from .wavefield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNIT_SYSTEM",
     "G_ELECTRON",
     "MAX_OSCILLATOR_INDEX",
     "Spin",
@@ -83,7 +77,6 @@ __all__ = [
     "FieldStrength",
     "IncomingState",
     "ChannelParams",
-    "KinematicFactor",
     "ScatterAmplitudes",
     "CurrentBudget",
     "BatchAmplitudes",
@@ -93,17 +86,14 @@ __all__ = [
     "make_channel",
     "classify",
     "eval_oscillator",
-    "level_energy",
     "momentum_left",
     "momentum_right",
-    "kinematic_factor",
     "amplitudes",
     "amplitudes_batch",
     "solve_boundary_system",
     "solve_boundary_batch",
     "current_budget",
     "klein_limit",
-    "h0_amplitudes",
     "assemble_field",
     "boundary_values",
     "continuity_residual",

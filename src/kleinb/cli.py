@@ -59,14 +59,14 @@ _VALIDATION_ERRORS = (
 )
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
-#: built.  The lines are formatted and written CSV_CHUNK_LINES at a time,
-#: so a full-column sweep of MAX_CSV_ROWS rows peaked at 310 MiB RSS
-#: (~0.8 KiB per row, mostly the batch arrays and the value table) and a
-#: regime-map of as many cells at 35 MiB.
+#: built.  The rows are evaluated, formatted and written CSV_CHUNK_LINES
+#: at a time, so a full-column sweep of MAX_CSV_ROWS rows peaked at
+#: 59 MiB RSS (30 MiB for one row; the rest is mostly the axis values)
+#: and a regime-map of as many cells at 35 MiB.
 MAX_CSV_ROWS = 400_000
 
-#: Lines formatted and written at a time by the sweep and regime-map
-#: writers.
+#: Rows evaluated, formatted and written at a time by the sweep, and
+#: lines written at a time by the sweep and regime-map writers.
 CSV_CHUNK_LINES = 4096
 
 #: Regime labels, indexed by regime code.
@@ -114,8 +114,8 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def emit_json(record: dict, out=None) -> None:
-    print(_json_value(record), file=out or sys.stdout)
+def emit_json(record: dict) -> None:
+    print(_json_value(record))
 
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
@@ -128,7 +128,7 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
 
 def _point_record(params: ChannelParams) -> dict:
     amps = amplitudes(params)
-    budget = current_budget(params, amps)
+    budget = current_budget(params)
     return {
         "E": params.E,
         "V0": params.V0,
@@ -214,41 +214,41 @@ def _value_column(batch, name: str) -> np.ndarray:
 
 
 def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]):
-    """CSV lines of the header's columns, one per axis value, formatted
-    as they are read.
+    """CSV lines of the header's columns, one per axis value, evaluated
+    and formatted CSV_CHUNK_LINES rows at a time as they are read.
 
-    make_channel's rules run over all rows at once (channel_valid);
-    make_channel runs only on the invalid rows, to name their error, and
-    the valid rows are evaluated in one amplitudes_batch call, all before
-    this returns.  Each row is formatted by one %-template over its
-    stacked values.
+    Per chunk, make_channel's rules run over all rows at once
+    (channel_valid); make_channel runs only on the invalid rows, to name
+    their error, and the valid rows are evaluated in one amplitudes_batch
+    call.  Each row is formatted by one %-template over its stacked
+    values.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
         level_floats(values if axis == "n" else fixed["n"]),
     )
     up = fixed["spin"] is Spin.UP
-    valid = channel_valid(E, V0, b, n, up)
-    errors = [""] * len(values)
-    for i in np.flatnonzero(~valid).tolist():
-        errors[i] = type(channel_error(E[i], V0[i], b[i], n[i], up)).__name__
-    batch = amplitudes_batch(E[valid], V0[valid], b[valid], n[valid], fixed["spin"])
-    index = np.flatnonzero(valid)
-    for i in index[batch.singular].tolist():
-        errors[i] = SingularStep.__name__
-    shown = ~batch.singular
     inner = header[2:-1]
-    table = np.empty((int(shown.sum()), len(inner)))
-    for j, name in enumerate(inner):
-        table[:, j] = _value_column(batch, name)[shown]
     blank = "%.17g" + "," * (len(inner) + 2) + "%s"
     row = "%.17g,%s" + ",%.17g" * len(inner) + ","
-    # the rows without an error are the shown ones, in table order
-    labels = iter([REGIME_LABELS[r] for r in batch.regime[shown].tolist()])
-    cells = itertools.chain.from_iterable(
-        _text_floats(table[i:i + CSV_CHUNK_LINES]) for i in range(0, len(table), CSV_CHUNK_LINES))
-    return (blank % (x, e) if e else row % (x, next(labels), *next(cells))
-            for x, e in zip(_text_floats(values), errors))
+    for lo in range(0, len(values), CSV_CHUNK_LINES):
+        e, v0, bb, nn = (x[lo:lo + CSV_CHUNK_LINES] for x in (E, V0, b, n))
+        valid = channel_valid(e, v0, bb, nn, up)
+        batch = amplitudes_batch(e[valid], v0[valid], bb[valid], nn[valid], fixed["spin"])
+        errors = [""] * len(e)
+        for i in np.flatnonzero(~valid).tolist():
+            errors[i] = type(channel_error(e[i], v0[i], bb[i], nn[i], up)).__name__
+        for i in np.flatnonzero(valid)[batch.singular].tolist():
+            errors[i] = SingularStep.__name__
+        ok = ~batch.singular
+        table = np.empty((int(ok.sum()), len(inner)))
+        for j, name in enumerate(inner):
+            table[:, j] = _value_column(batch, name)[ok]
+        # the rows without an error are the shown ones, in table order
+        labels = iter([REGIME_LABELS[r] for r in batch.regime[ok].tolist()])
+        cells = iter(_text_floats(table))
+        for x, err in zip(_text_floats(values[lo:lo + CSV_CHUNK_LINES]), errors):
+            yield blank % (x, err) if err else row % (x, next(labels), *next(cells))
 
 
 _SWEEP_KEYS = {

@@ -3,8 +3,8 @@
 The transverse eigenfunctions in the gauge A = (-Hy, 0, 0) are the
 orthonormal harmonic oscillator functions Phi_n(xi) with
 xi = (y - y0)/L, guiding center y0 = k_x L^2 and magnetic radius
-L = b**-1/2 (Compton units).  Level energies and longitudinal momenta
-on both sides of the step follow from the dispersion
+L = b**-1/2 (Compton units).  The longitudinal momenta on both sides
+of the step follow from the dispersion
 E = sqrt(cp^2 + 1 + C) + V with C the transverse channel energy.
 """
 
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSpinIndex, OscillatorRange
-from .states import EVANESCENT, ChannelParams, Spin, regime_codes
+from .states import EVANESCENT, ChannelParams, regime_codes
 
 #: Largest oscillator index accepted by eval_oscillator.  The normalized
 #: three-term recurrence is forward-stable; the cap keeps the classical
@@ -67,22 +67,6 @@ def eval_oscillator(n: int, xi):
     for k in range(1, n):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1.0)) * prev
     return float(cur[0]) if scalar else cur
-
-
-def level_energy(spin: Spin, n: int, cp: float, b: float, V: float = 0.0) -> float:
-    """Energy of the Landau level (spin, n) at longitudinal momentum cp.
-
-    E = sqrt(cp^2 + 1 + C) + V with C = 2 b (n+1) for spin-up and
-    C = 2 b n for spin-down, so (up, n-1) and (down, n) are degenerate
-    and (down, 0) does not depend on the field.  Here n is the state's
-    own orbital index, not the shared channel label.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise InvalidSpinIndex(f"level index must be an integer >= 0, got {n!r}")
-    if cp < 0.0:
-        raise ValueError(f"cp must be >= 0, got {cp}")
-    c = 2.0 * b * (n + 1) if spin is Spin.UP else 2.0 * b * n
-    return math.sqrt(cp * cp + 1.0 + c) + V
 
 
 def momentum_sq(E, V0, C):

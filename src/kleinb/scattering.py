@@ -2,15 +2,14 @@
 
 Closed forms for the four amplitudes (same-spin and spin-flip, reflected
 and transmitted), an independent 4x4 boundary-matching solver used as a
-numerical oracle, group-velocity-weighted current fractions, the
-infinite-step limits of the transmitted probabilities, and the H = 0
-reduction.
+numerical oracle, group-velocity-weighted current fractions and the
+infinite-step limits of the transmitted probabilities.
 
 One array core evaluates the amplitudes, the budgets and the oracle:
 amplitudes_batch and solve_boundary_batch take arrays of channels, and
-the scalar functions (amplitudes, current_budget, kinematic_factor,
-solve_boundary_system) are the same code run on one point, so batch and
-scalar results agree bit for bit.
+the scalar functions (amplitudes, current_budget, solve_boundary_system)
+are the same code run on one point, so batch and scalar results agree
+bit for bit.
 
 Notation (all mc^2 units): eps = E + 1, eps_bar = E + 1 - V0,
 ebar = E - V0, C = 2 b n, cp/cq the longitudinal momenta, and the
@@ -21,13 +20,12 @@ w = sqrt(|eps_bar * ebar| / (eps * E)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosedChannel, SingularMatrix, SingularStep
+from .errors import SingularMatrix, SingularStep
 from .landau import longitudinal_momenta, momentum_left
 from .states import (
     EVANESCENT,
@@ -44,21 +42,6 @@ from .states import (
 #: Relative half-width of the excluded slice around V0 = E + 1, where
 #: kappa diverges and the transmitted normalization degenerates.
 SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class KinematicFactor:
-    """kappa = cq * eps / (cp * eps_bar) together with its ingredients.
-
-    Real and >= 0 in the propagating regimes under the branch rule of
-    momentum_right; purely imaginary in the evanescent regime.
-    """
-
-    kappa: complex
-    cq: complex
-    cp: float
-    eps: float
-    eps_bar: float
 
 
 @dataclass(frozen=True)
@@ -189,16 +172,6 @@ def _check_singular(k: Kinematics) -> None:
             f"V0 = {V0:.17g} within tolerance of E + 1 = {E + 1.0:.17g}: "
             "kinematic factor diverges"
         )
-
-
-def kinematic_factor(params: ChannelParams) -> KinematicFactor:
-    """Kinematic factor kappa = cq*eps/(cp*eps_bar) of the channel."""
-    k = point_kinematics(params)
-    _check_singular(k)
-    return KinematicFactor(
-        kappa=complex(_kappa(k)[0]), cq=complex(k.cq[0]), cp=float(k.cp[0]),
-        eps=float(k.eps[0]), eps_bar=float(k.eps_bar[0]),
-    )
 
 
 #: Inside |eps_bar| < NEAR_SINGULAR_FRACTION * (1 + V0) the amplitudes are
@@ -456,22 +429,19 @@ def solve_boundary_system(params: ChannelParams) -> ScatterAmplitudes:
     return ScatterAmplitudes(R=R, Rp=Rp, T=T, Tp=Tp, regime=REGIMES[k.regime[0]])
 
 
-def current_budget(params: ChannelParams, amps: ScatterAmplitudes | None = None) -> CurrentBudget:
+def current_budget(params: ChannelParams) -> CurrentBudget:
     """Current fractions of the four outgoing channels (they sum to 1).
 
     Transmitted fractions are the group-velocity-weighted fluxes
     kappa*|1+R|^2 and kappa*|Rp|^2, not |T|^2 and |Tp|^2: only the
     weighted fluxes obey the conservation sum.  1 + R is evaluated as
-    T*eps_bar/(w*eps), so a given amps must hold a consistent T.  In the
-    evanescent regime the transmitted fractions are exactly 0 and
-    |R|^2 + |Rp|^2 = 1.
+    T*eps_bar/(w*eps).  In the evanescent regime the transmitted
+    fractions are exactly 0 and |R|^2 + |Rp|^2 = 1.  Raises
+    SingularStep on the slice V0 = E + 1.
     """
     k = point_kinematics(params)
-    if amps is None:
-        _check_singular(k)
-        R, Rp, T = _closed_forms(k)[:3]
-    else:
-        R, Rp, T = np.array([amps.R]), np.array([amps.Rp]), np.array([amps.T])
+    _check_singular(k)
+    R, Rp, T = _closed_forms(k)[:3]
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = _budget(k, R, Rp, T)
     return CurrentBudget(*(float(f[0]) for f in fractions))
@@ -497,17 +467,3 @@ def klein_limit(spin: Spin | str, n: int, E: float, b: float) -> tuple[float, fl
     den = E * (s * s + c) ** 2
     return eps * 4.0 * cp * cp * s * s / den, eps * 4.0 * cp * cp * c / den
 
-
-def h0_amplitudes(E: float, V0: float) -> ScatterAmplitudes:
-    """Field-free amplitudes, C = 0 path.
-
-    Equivalent to amplitudes() for the lowest spin-down channel at
-    b = 0 (bit-for-bit: it is the same code path), where the closed
-    forms collapse to R = (1 - kappa)/(1 + kappa) and
-    T = w * 2 eps / (eps_bar (1 + kappa)) with real kappa in the
-    propagating regimes and imaginary kappa in the evanescent one.  The
-    flip amplitudes vanish identically.
-    """
-    if not (math.isfinite(E) and E > 1.0):
-        raise ClosedChannel(f"field-free channel needs E > 1, got {E}")
-    return amplitudes(make_channel(E, V0, 0.0, Spin.DOWN, 0))

@@ -87,6 +87,15 @@ def _open_pair(setup: FilterSetup) -> tuple[float, float, float]:
     return math.sqrt(up_sq), math.sqrt(down_sq), abs(setup.E - V0)
 
 
+def _over_distance(per_unit: float, setup: FilterSetup) -> float:
+    """A delay per unit distance times the flight distance; ValueError if
+    the product overflows a double."""
+    delay = per_unit * setup.distance
+    if not math.isfinite(delay):
+        raise ValueError(f"arrival delay over flight distance {setup.distance} overflows a double")
+    return delay
+
+
 def split_momenta(setup: FilterSetup) -> tuple[float, float]:
     """Longitudinal momenta (cp_up, cp_down) of the pair members on the
     setup's branch.
@@ -123,10 +132,7 @@ def arrival_delay(setup: FilterSetup) -> float:
     """
     cp_up, cp_down, x = _open_pair(setup)
     momentum_sq_split = setup.b * (setup.g - 2.0)  # cp_down^2 - cp_up^2
-    delay = x * momentum_sq_split / (cp_up * cp_down * (cp_up + cp_down)) * setup.distance
-    if not math.isfinite(delay):
-        raise ValueError(f"arrival delay over flight distance {setup.distance} overflows a double")
-    return delay
+    return _over_distance(x * momentum_sq_split / (cp_up * cp_down * (cp_up + cp_down)), setup)
 
 
 def arrival_delay_first_order(setup: FilterSetup) -> float:
@@ -134,7 +140,8 @@ def arrival_delay_first_order(setup: FilterSetup) -> float:
 
     Delta t ~= d * E * Delta(cp^2) / (2 cp^3) with Delta(cp^2) =
     b (g - 2) and cp the degenerate momentum at g = 2 (E -> |E - V0|
-    for the transmitted branch).
+    for the transmitted branch).  Raises ValueError as arrival_delay
+    does when the delay overflows a double.
     """
     cp, _, x = _open_pair(replace(setup, g=2.0))
-    return x * setup.b * (setup.g - 2.0) / (2.0 * cp ** 3) * setup.distance
+    return _over_distance(x * setup.b * (setup.g - 2.0) / (2.0 * cp ** 3), setup)

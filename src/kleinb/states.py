@@ -23,9 +23,6 @@ import numpy as np
 
 from .errors import ClosedChannel, InvalidSpinIndex, KleinStepError, NegativeField
 
-#: Marker for the unit convention used throughout the package.
-UNIT_SYSTEM = "natural units: mc^2 = c = hbar = 1"
-
 #: Largest E and V0 a channel accepts.  The closed forms square products
 #: of up to four energies; sums stay conserved to 1e-12 up to E = 1e76
 #: and V0 = 1e153, beyond which those squares overflow.  An open channel
@@ -150,11 +147,6 @@ class ChannelParams:
     def C(self) -> float:
         """Channel coupling 2 b n shared by the degenerate pair."""
         return self.field.c_n(self.state.n)
-
-    @property
-    def channel_mass(self) -> float:
-        """Effective mass M_n = sqrt(1 + 2 b n) of the channel."""
-        return math.sqrt(1.0 + self.C)
 
 
 def check_energies(E: float, V0: float) -> None:

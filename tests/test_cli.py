@@ -54,7 +54,7 @@ class TestAmps:
         rec = amps_record(capsys, 2.0, 6.0, 0.2, 1, "up")
         p = make_channel(2.0, 6.0, 0.2, Spin.UP, 1)
         a = amplitudes(p)
-        bud = current_budget(p, a)
+        bud = current_budget(p)
         assert rec["R"] == {"re": a.R.real, "im": a.R.imag}
         assert rec["Tp"] == {"re": a.Tp.real, "im": a.Tp.imag}
         assert rec["refl_flip"] == bud.refl_flip
@@ -336,7 +336,7 @@ def reference_sweep_csv(axis, values, fixed, columns=SWEEP_VALUE_COLUMNS):
         except (ValueError, KleinStepError) as exc:
             lines.append(",".join([fmt(float(text)), "", *[""] * len(columns), type(exc).__name__]))
             continue
-        budget = current_budget(params, amps)
+        budget = current_budget(params)
         cells = {"sum": budget.sum}
         for name in ("R", "Rp", "T", "Tp"):
             z = getattr(amps, name)
@@ -376,6 +376,23 @@ class TestCsvBytes:
     @pytest.mark.parametrize("axis, values, fixed, columns", BYTE_SWEEPS)
     def test_sweep(self, capsys, axis, values, fixed, columns):
         out = self.sweep(capsys, axis, values, fixed, columns)
+        selected = SWEEP_VALUE_COLUMNS if columns is None else [c for c in columns.split(",") if c]
+        assert out == reference_sweep_csv(axis, values, fixed, selected)
+
+    @pytest.mark.parametrize("axis, values, fixed, columns", BYTE_SWEEPS)
+    def test_sweep_evaluated_per_chunk(self, capsys, monkeypatch, axis, values, fixed, columns):
+        # with 3-line chunks no amplitudes_batch call sees more than 3
+        # points, and the bytes across chunk boundaries are unchanged
+        sizes, evaluate = [], kleinb.cli.amplitudes_batch
+
+        def counted(E, *args):
+            sizes.append(np.size(E))
+            return evaluate(E, *args)
+
+        monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 3)
+        monkeypatch.setattr(kleinb.cli, "amplitudes_batch", counted)
+        out = self.sweep(capsys, axis, values, fixed, columns)
+        assert len(sizes) == math.ceil(len(values.split(",")) / 3) and max(sizes) <= 3
         selected = SWEEP_VALUE_COLUMNS if columns is None else [c for c in columns.split(",") if c]
         assert out == reference_sweep_csv(axis, values, fixed, selected)
 

@@ -14,7 +14,6 @@ from kleinb import (
     classify,
     current_budget,
     eval_oscillator,
-    level_energy,
     make_channel,
     momentum_left,
     momentum_right,
@@ -84,30 +83,6 @@ class TestOscillator:
         vals = eval_oscillator(MAX_OSCILLATOR_INDEX, x)
         assert np.all(np.isfinite(vals))
         assert np.abs(vals).max() < 1.0
-
-
-class TestLevelEnergy:
-    def test_lowest_level_field_independent(self):
-        for b in (0.0, 0.3, 1.0):
-            assert level_energy(Spin.DOWN, 0, 0.0, b) == 1.0
-
-    def test_degenerate_pair(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 15))
-            cp = float(rng.uniform(0, 3))
-            b = float(rng.uniform(0, 1))
-            v = float(rng.uniform(0, 5))
-            assert level_energy(Spin.UP, n - 1, cp, b, v) == level_energy(Spin.DOWN, n, cp, b, v)
-
-    def test_direct_value(self):
-        assert level_energy(Spin.UP, 0, 1.0, 0.5, 2.0) == pytest.approx(2.0 + math.sqrt(3.0))
-
-    def test_invalid_index(self):
-        with pytest.raises(InvalidSpinIndex):
-            level_energy(Spin.UP, -1, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            level_energy(Spin.DOWN, 1, -0.5, 0.5)
 
 
 class TestMomenta:

@@ -113,10 +113,12 @@ class TestArrivalDelay:
         s = setup(**kwargs)
         want = delay_reference(s.E, s.n, s.b, s.g, s.distance, s.V0 or 0.0)
         if want > sys.float_info.max:
-            with pytest.raises(ValueError, match="flight distance"):
-                arrival_delay(s)
+            for delay in (arrival_delay, arrival_delay_first_order):
+                with pytest.raises(ValueError, match="flight distance"):
+                    delay(s)
         else:
             assert abs(arrival_delay(s) / want - 1) < 1e-15
+            assert math.isfinite(arrival_delay_first_order(s))
 
     @pytest.mark.parametrize("kwargs", [
         dict(E=1 + 1e-7),

@@ -87,12 +87,6 @@ def test_channel_coupling_monotone_in_n():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_channel_mass_at_least_one():
-    assert make_channel(2.0, 0.0, 0.0, Spin.DOWN, 5).channel_mass == 1.0
-    assert make_channel(2.0, 0.0, 0.3, Spin.DOWN, 0).channel_mass == 1.0
-    assert make_channel(3.0, 0.0, 0.3, Spin.DOWN, 2).channel_mass > 1.0
-
-
 def test_regime_boundaries_are_evanescent():
     # both equalities E = V0 -+ M_n classify as the evanescent case
     upper = make_channel(3.0, 2.0, 0.0, Spin.DOWN, 0)   # E = V0 + M exactly
@@ -119,7 +113,7 @@ def test_exactly_one_regime_holds(e, v0, b, n):
         p = make_channel(e, v0, b, Spin.DOWN, n)
     except ClosedChannel:
         return
-    m = p.channel_mass
+    m = math.sqrt(1.0 + p.C)
     flags = [v0 - m > e, e > v0 + m, v0 - m <= e <= v0 + m]
     assert sum(flags) == 1
     held = [Regime.CASE_I, Regime.CASE_II, Regime.CASE_III][flags.index(True)]
