@@ -29,7 +29,7 @@ from .errors import (
     OscillatorRange,
     SingularStep,
 )
-from .scattering import amplitudes, amplitudes_batch, current_budget, klein_limit
+from .scattering import _point_results, amplitudes_batch, klein_limit
 from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
     MAX_ENERGY,
@@ -127,8 +127,7 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _point_record(params: ChannelParams) -> dict:
-    amps = amplitudes(params)
-    budget = current_budget(params)
+    amps, budget = _point_results(params)
     return {
         "E": params.E,
         "V0": params.V0,

@@ -439,12 +439,20 @@ def current_budget(params: ChannelParams) -> CurrentBudget:
     fractions are exactly 0 and |R|^2 + |Rp|^2 = 1.  Raises
     SingularStep on the slice V0 = E + 1.
     """
+    return _point_results(params)[1]
+
+
+def _point_results(params: ChannelParams) -> tuple[ScatterAmplitudes, CurrentBudget]:
+    """amplitudes(params) and current_budget(params) from one evaluation
+    of the closed forms."""
     k = point_kinematics(params)
     _check_singular(k)
-    R, Rp, T = _closed_forms(k)[:3]
+    forms = _closed_forms(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = _budget(k, R, Rp, T)
-    return CurrentBudget(*(float(f[0]) for f in fractions))
+        fractions = _budget(k, *forms[:3])
+    R, Rp, T, Tp = forms[:, 0].tolist()
+    return (ScatterAmplitudes(R=R, Rp=Rp, T=T, Tp=Tp, regime=REGIMES[k.regime[0]]),
+            CurrentBudget(*(float(f[0]) for f in fractions)))
 
 
 def klein_limit(spin: Spin | str, n: int, E: float, b: float) -> tuple[float, float]:

@@ -95,6 +95,19 @@ class TestAmps:
         rec = amps_record(capsys, 1e9, 1.0, 0.1, 2 ** 53 - 1, "down")
         assert rec["n"] == 2 ** 53 - 1 and rec["regime"] == "II"
 
+    def test_closed_forms_evaluated_once_per_record(self, capsys, monkeypatch):
+        closed_forms, calls = kleinb.scattering._closed_forms, []
+        monkeypatch.setattr(kleinb.scattering, "_closed_forms",
+                            lambda k: calls.append(k) or closed_forms(k))
+        for point in [(2.0, 6.0, 0.2, 1, "up"), (2.0, 2.0, 0.0, 0, "down"), (2.0, 2.0, 0.3, 1, "up")]:
+            calls.clear()
+            amps_record(capsys, *point)
+            assert len(calls) == 1
+        calls.clear()
+        code, _, err = run_cli(capsys, "amps", "--E", "2", "--V0", "3",
+                               "--b", "0.1", "--n", "1", "--spin", "up")
+        assert code == 2 and "SingularStep" in err and not calls
+
 
 class TestSweep:
     def test_regime_transitions_along_v0(self, capsys):

@@ -23,7 +23,7 @@ from kleinb import (
 )
 from kleinb.landau import eval_oscillator
 from kleinb.selftest import sample_params
-from kleinb.wavefield import _pieces
+from kleinb.wavefield import GRID_BLOCK_BYTES, _pieces
 
 
 def reference_field(params, y, z, y0=0.0):
@@ -216,6 +216,32 @@ class TestFactorisedField:
             save_grid(tmp_path / "comp.bin", f, what="components")
             _, data = load_grid(tmp_path / "comp.bin")
             assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
+
+    @pytest.mark.parametrize("ny, nz", [
+        (200, 1000),     # 65-row blocks: 65, 65, 65, 5
+        (2000, 64),      # 1024-row blocks: 1024, 976
+        (100_000, 1),    # 65536-row blocks: 65536, 34464
+        (3, 70_000),     # a row wider than the block: one row per block
+        (1, 1000),
+        (1000, 1),
+    ])
+    def test_blocked_components_payload_is_values(self, tmp_path, ny, nz):
+        for args in [(2.0, 6.0, 0.2, Spin.UP, 1), *SPECIAL_POINTS]:
+            f = assemble_field(make_channel(*args), ny=ny, nz=nz, k_x=0.4)
+            save_grid(tmp_path / "comp.bin", f, what="components")
+            _, data = load_grid(tmp_path / "comp.bin")
+            assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
+
+    def test_components_writer_memory_bounded(self, tmp_path):
+        # one (1000, 1000) complex slab is 16 MB; the writer holds one block
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=1000, nz=1000)
+        tracemalloc.start()
+        try:
+            save_grid(tmp_path / "comp.bin", f, what="components")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * GRID_BLOCK_BYTES
 
     def test_factor_consumers_build_no_grid(self, tmp_path):
         for args in [(2.0, 6.0, 0.2, Spin.UP, 1), *SPECIAL_POINTS]:
