@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSpinIndex, OscillatorRange
-from .states import EVANESCENT, ChannelParams, regime_codes
+from .states import ChannelParams, momentum_sq
 
 #: Largest oscillator index accepted by eval_oscillator.  The normalized
 #: three-term recurrence is forward-stable; the cap keeps the classical
@@ -69,36 +69,20 @@ def eval_oscillator(n: int, xi):
     return float(cur[0]) if scalar else cur
 
 
-def momentum_sq(E, V0, C):
-    """Squared longitudinal momentum (E - V0)^2 - 1 - C, scalar or array.
-
-    Evaluated as (x - 1)(x + 1) - C, which is free of the cancellation
-    in x^2 - 1 near |x| = 1.  x = E - V0 is carried as its rounded value
-    plus the exact rounding error, so x -/+ 1 keeps full precision even
-    when the rounding of E - V0 is comparable to |x| - 1.  V0 = 0 gives
-    cp^2 on the V = 0 side.
-    """
-    ebar = E - V0
-    # Knuth's TwoSum: E - V0 == ebar + err exactly
-    v = ebar - E
-    err = (E - (ebar - v)) - (V0 + v)
-    return ((ebar - 1.0) + err) * ((ebar + 1.0) + err) - C
-
-
-def longitudinal_momenta(E, V0, C, regime):
-    """Longitudinal momenta (cp, cq) over arrays, regime from regime_codes.
+def longitudinal_momenta(E, V0, C):
+    """Longitudinal momenta (cp, cq) over arrays.
 
     cp^2 = E^2 - 1 - C on the V = 0 side and cq^2 = (E - V0)^2 - 1 - C
-    on the step side, C = 2 b n, both from momentum_sq.  Branch
-    convention: in the propagating regimes cq carries the sign of
-    E - V0, so the transmitted group velocity cq/(E - V0) points away
-    from the step; in the evanescent regime cq = +i|cq| so the wave
-    decays for z > 0.
+    on the step side, C = 2 b n, both from states.momentum_sq.  The
+    sign of cq^2 picks the branch, the rule states.regime_codes reads.
+    Propagating (cq^2 > 0): cq carries the sign of E - V0, so the
+    transmitted group velocity cq/(E - V0) points away from the step.
+    Evanescent (cq^2 <= 0): cq = +i|cq|, so the wave decays for z > 0.
     """
     cp = np.sqrt(momentum_sq(E, 0.0, C))
     q2 = momentum_sq(E, V0, C)
-    evanescent = regime == EVANESCENT
-    mag = np.sqrt(np.maximum(np.where(evanescent, -q2, q2), 0.0))
+    evanescent = q2 <= 0.0
+    mag = np.sqrt(np.abs(q2))  # abs, not -q2: cq stays +0j at a threshold
     cq = np.empty(np.shape(mag), dtype=complex)
     cq.real = np.where(evanescent, 0.0, np.where(E - V0 > 0.0, mag, -mag))
     cq.imag = np.where(evanescent, mag, 0.0)
@@ -118,5 +102,4 @@ def momentum_right(params: ChannelParams) -> complex:
 
     Branch rule as in longitudinal_momenta.
     """
-    E, V0, C = params.E, params.V0, params.C
-    return complex(longitudinal_momenta(E, V0, C, regime_codes(E, V0, C))[1])
+    return complex(longitudinal_momenta(params.E, params.V0, params.C)[1])

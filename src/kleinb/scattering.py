@@ -136,8 +136,8 @@ def _abs2(z):
 
 def kinematics(E, V0, C, up) -> Kinematics:
     """Kinematics of 1-D arrays of validated points (C = 2 b n, up a bool mask)."""
+    cp, cq = longitudinal_momenta(E, V0, C)
     regime = regime_codes(E, V0, C)
-    cp, cq = longitudinal_momenta(E, V0, C, regime)
     eps = E + 1.0
     eps_bar = eps - V0
     ebar = E - V0

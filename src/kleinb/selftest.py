@@ -213,7 +213,7 @@ def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     # The momenta are landau's (checked against 60-digit references in the
     # test suite); a float re-derivation would cancel near |E - V0| = 1 and
     # be less accurate than the value it checks.
-    cp, cq = longitudinal_momenta(g.E, g.V0, 0.0, a.regime)
+    cp, cq = longitudinal_momenta(g.E, g.V0, 0.0)
     kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
     err_r = np.abs(a.R - (1.0 - kappa) / (1.0 + kappa))
     err_total = np.where(a.regime == EVANESCENT, np.abs(np.abs(a.R) ** 2 - 1.0), 0.0)

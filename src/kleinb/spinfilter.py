@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ClosedChannel, EvanescentBranch
-from .landau import momentum_sq
-from .states import FieldStrength, IncomingState, Spin, check_energies
+from .states import FieldStrength, IncomingState, Spin, check_energies, momentum_sq
 
 #: Electron spin g-factor including radiative corrections.
 G_ELECTRON = 2.002319
@@ -103,7 +102,7 @@ def split_momenta(setup: FilterSetup) -> tuple[float, float]:
     cp_s^2 = x^2 - 1 - 2 b (n_orb + 1/2) - g b s_z with x = E (E - V0
     on the transmitted branch) and (n_orb, s_z) = (n-1, +1/2) for the
     up member and (n, -1/2) for the down member: the g = 2 momentum of
-    landau.momentum_sq shifted by -+(g - 2) b / 2.  For g > 2 the up
+    states.momentum_sq shifted by -+(g - 2) b / 2.  For g > 2 the up
     member is the higher level, so cp_up < cp_down.  Raises
     ClosedChannel (EvanescentBranch on the transmitted branch) if either
     momentum is not real and positive.

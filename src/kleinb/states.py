@@ -187,13 +187,30 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
     )
 
 
-def channel_open(E, C):
-    """Open-channel rule, scalar or array: cp^2 = (E - 1)(E + 1) - C > 0.
+def momentum_sq(E, V0, C):
+    """Squared longitudinal momentum (E - V0)^2 - 1 - C, scalar or array.
 
-    Written in the cancellation-free form landau uses for cp, so every
-    channel this accepts has cp > 0 in floating point too.
+    Evaluated as (x - 1)(x + 1) - C, which is free of the cancellation
+    in x^2 - 1 near |x| = 1.  x = E - V0 is carried as its rounded value
+    plus the exact rounding error, so x -/+ 1 keeps full precision even
+    when the rounding of E - V0 is comparable to |x| - 1.  V0 = 0 gives
+    cp^2 on the V = 0 side.  Its sign is the one threshold rule, read by
+    channel_open, regime_codes and landau.longitudinal_momenta.
     """
-    return (E - 1.0) * (E + 1.0) > C
+    ebar = E - V0
+    # Knuth's TwoSum: E - V0 == ebar + err exactly
+    v = ebar - E
+    err = (E - (ebar - v)) - (V0 + v)
+    return ((ebar - 1.0) + err) * ((ebar + 1.0) + err) - C
+
+
+def channel_open(E, C):
+    """Open-channel rule, scalar or array: cp^2 = momentum_sq(E, 0, C) > 0.
+
+    The momentum rule landau uses for cp, so every channel this accepts
+    has cp > 0 in floating point too.
+    """
+    return momentum_sq(E, 0.0, C) > 0.0
 
 
 def channel_valid(E, V0, b, n, up):
@@ -231,11 +248,11 @@ def channel_error(E, V0, b, n, up) -> Exception:
 def regime_codes(E, V0, C):
     """Regime rule over arrays: per element, the index into REGIMES.
 
-    With M_n = sqrt(1 + C): CASE_I where V0 - M_n > E, CASE_II where
-    E > V0 + M_n, CASE_III otherwise (the equalities included).
+    The sign of the step-side momentum q2 = momentum_sq(E, V0, C):
+    CASE_III where q2 <= 0 (the equalities E = V0 +- M_n included),
+    else CASE_I where E < V0 and CASE_II otherwise.
     """
-    m = np.sqrt(1.0 + C)
-    return np.where(V0 - m > E, 0, np.where(E > V0 + m, 1, EVANESCENT))
+    return np.where(momentum_sq(E, V0, C) <= 0.0, EVANESCENT, np.where(E < V0, 0, 1))
 
 
 def classify(params: ChannelParams) -> Regime:

@@ -18,7 +18,8 @@ from kleinb import (
     momentum_left,
     momentum_right,
 )
-from kleinb.landau import MAX_OSCILLATOR_INDEX
+from kleinb.landau import MAX_OSCILLATOR_INDEX, longitudinal_momenta
+from kleinb.states import EVANESCENT, REGIMES, regime_codes
 
 
 def oscillator_explicit(n, x):
@@ -116,16 +117,24 @@ class TestMomenta:
         q = momentum_right(make_channel(2.0, 2.0, 0.0, Spin.DOWN, 0))
         assert q == pytest.approx(1j)
 
-    def test_branch_rule_on_grid(self, param_grid):
-        for p in param_grid:
-            q = momentum_right(p)
-            regime = classify(p)
-            if regime is Regime.CASE_III:
-                assert q.real == 0.0 and q.imag >= 0.0
-            else:
-                # transmitted group velocity q/(E - V0) points rightward
-                assert q.imag == 0.0
-                assert q.real * (p.E - p.V0) > 0.0
+    def test_branch_rule_on_grid(self, param_grid, threshold_edges):
+        # one threshold rule: the regime is the sign pattern of cq, on the
+        # seeded grid and on channels within 1e-17..1e-12 of E = V0 +- M_n
+        E, V0, b, n = (np.concatenate([getattr(param_grid, k), edge])
+                       for k, edge in zip(("E", "V0", "b", "n"), threshold_edges))
+        C = 2.0 * b * n
+        cq = longitudinal_momenta(E, V0, C)[1]
+        codes = regime_codes(E, V0, C)
+        np.testing.assert_array_equal(codes == EVANESCENT, cq.real == 0.0)
+        np.testing.assert_array_equal(codes == REGIMES.index(Regime.CASE_I), cq.real < 0.0)
+        np.testing.assert_array_equal(codes == REGIMES.index(Regime.CASE_II), cq.real > 0.0)
+        evanescent = codes == EVANESCENT
+        assert np.all(cq.imag[evanescent] >= 0.0) and np.all(cq.imag[~evanescent] == 0.0)
+        # transmitted group velocity q/(E - V0) points rightward
+        assert np.all(cq.real[~evanescent] * (E - V0)[~evanescent] > 0.0)
+        # the scalar views are the same rule
+        for i, p in enumerate(param_grid):
+            assert momentum_right(p) == cq[i] and classify(p) is REGIMES[codes[i]]
 
 
 class TestThresholdCancellation:

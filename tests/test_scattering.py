@@ -25,7 +25,7 @@ from kleinb import (
     solve_boundary_system,
 )
 from kleinb.scattering import point_kinematics
-from kleinb.selftest import amplitude_deviation
+from kleinb.selftest import amplitude_deviation, sample_grid
 from kleinb.states import EVANESCENT, REGIMES, channel_valid
 
 
@@ -245,6 +245,20 @@ class TestKleinLimit:
             a = amplitudes(make_channel(e, 1e4, b, spin, n))
             assert abs(a.T) ** 2 == pytest.approx(t2_inf, rel=1e-3)
             assert abs(a.Tp) ** 2 == pytest.approx(tp2_inf, rel=1e-3)
+
+    def test_tall_step_equals_limit(self):
+        # past V0 ~ 1e16 the 1/V0 correction is below rounding: the finite
+        # step is the limit to a few ulp, up to MAX_ENERGY
+        g = sample_grid(2000, seed=3)
+        limits = np.array([klein_limit(s, int(n), e, b) for s, n, e, b in zip(g.spin, g.n, g.E, g.b)])
+        t2_inf, tp2_inf = limits.T
+        flip = tp2_inf > 0.0
+        for v0 in (1e17, 1e20, 1e30, 1e40, 1e50):
+            a = amplitudes_batch(g.E, v0, g.b, g.n, g.spin)
+            assert np.all(a.regime == REGIMES.index(Regime.CASE_I))
+            np.testing.assert_allclose(np.abs(a.T) ** 2, t2_inf, rtol=4e-15, atol=0.0)
+            np.testing.assert_allclose(np.abs(a.Tp[flip]) ** 2, tp2_inf[flip], rtol=4e-15, atol=0.0)
+            assert np.all(a.Tp[~flip] == 0.0)
 
     def test_tail_is_monotone(self):
         e, b, n = 2.0, 0.2, 1

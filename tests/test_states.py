@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ def test_regime_examples():
     assert classify(make_channel(2.0, 2.0, 0.0, Spin.DOWN, 0)) is Regime.CASE_III
 
 
+#: Slack of the regime rule against the exact sign.  The float q2 of
+#: momentum_sq is a few roundings of (E - V0)^2 off the exact value, so
+#: where the exact |q2| is within REGIME_SLACK_ULPS ulp of (E - V0)^2 its
+#: sign may go either way (the worst miss measured is 1.4 ulp).
+REGIME_SLACK_ULPS = 2
+
+
+def exact_regime(E, V0, C):
+    """The regime from the exact sign of q2 = (E - V0)^2 - 1 - C on the
+    float inputs, and |q2| in ulp of (E - V0)^2."""
+    x = Fraction(E) - Fraction(V0)
+    q2 = x * x - 1 - Fraction(C)
+    held = Regime.CASE_III if q2 <= 0 else Regime.CASE_I if x < 0 else Regime.CASE_II
+    return held, abs(q2) / Fraction(math.ulp(float(x * x)))
+
+
+def assert_exact_regime(p):
+    held, ulps = exact_regime(p.E, p.V0, p.C)
+    assert classify(p) is held or ulps <= REGIME_SLACK_ULPS, (p, held, float(ulps))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     e=st.floats(1.0001, 50.0),
@@ -113,11 +135,12 @@ def test_exactly_one_regime_holds(e, v0, b, n):
         p = make_channel(e, v0, b, Spin.DOWN, n)
     except ClosedChannel:
         return
-    m = math.sqrt(1.0 + p.C)
-    flags = [v0 - m > e, e > v0 + m, v0 - m <= e <= v0 + m]
-    assert sum(flags) == 1
-    held = [Regime.CASE_I, Regime.CASE_II, Regime.CASE_III][flags.index(True)]
-    assert classify(p) is held
+    assert_exact_regime(p)
+
+
+def test_regime_follows_exact_sign_at_thresholds(threshold_edges):
+    for e, v0, b, n in zip(*threshold_edges):
+        assert_exact_regime(make_channel(e, v0, b, Spin.DOWN, int(n)))
 
 
 def test_params_are_immutable():
