@@ -19,18 +19,9 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .errors import (
-    ClosedChannel,
-    EvanescentBranch,
-    GridTooLarge,
-    InvalidSpinIndex,
-    KleinStepError,
-    NegativeField,
-    OscillatorRange,
-    SingularStep,
-)
+from .errors import KleinStepError, SingularMatrix, SingularStep
 from .scattering import _point_results, amplitudes_batch, klein_limit
-from .spinfilter import Branch, FilterSetup, arrival_delay, split_momenta
+from .spinfilter import G_ELECTRON, Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
     MAX_ENERGY,
     REGIMES,
@@ -41,7 +32,6 @@ from .states import (
     channel_error,
     channel_open,
     channel_valid,
-    classify,
     level_floats,
     make_channel,
     parse_spin,
@@ -53,10 +43,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (
-    ClosedChannel, InvalidSpinIndex, NegativeField, SingularStep,
-    EvanescentBranch, GridTooLarge, OscillatorRange, ValueError,
-)
+#: hbar / (m_e c^2) in seconds (CODATA 2022): the unit of time of the
+#: natural units, by which filter-delay --si converts the delay.
+COMPTON_TIME_S = 1.2880886664441626e-21
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
 #: built.  The rows are evaluated, formatted and written CSV_CHUNK_LINES
@@ -84,10 +73,7 @@ def fmt(x: float) -> str:
     Negative zero is normalized to "0" so that values survive a pass
     through JSON (where -0 parses as the integer 0) unchanged.
     """
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".17g")
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _text_floats(x) -> list:
@@ -99,8 +85,6 @@ def _text_floats(x) -> list:
 def _json_value(v) -> str:
     if isinstance(v, str):
         return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
@@ -109,8 +93,6 @@ def _json_value(v) -> str:
         return '{"re": %s, "im": %s}' % (fmt(v.real), fmt(v.imag))
     if isinstance(v, dict):
         return "{%s}" % ", ".join('"%s": %s' % (k, _json_value(u)) for k, u in v.items())
-    if isinstance(v, (list, tuple)):
-        return "[%s]" % ", ".join(_json_value(u) for u in v)
     raise TypeError(f"cannot serialize {type(v)}")
 
 
@@ -118,12 +100,12 @@ def emit_json(record: dict) -> None:
     print(_json_value(record))
 
 
-def _add_channel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--E", type=float, required=True, help="total energy (mc^2 units)")
-    parser.add_argument("--V0", type=float, required=True, help="step height (mc^2 units)")
-    parser.add_argument("--b", type=float, required=True, help="field ratio hbar*omega/mc^2")
-    parser.add_argument("--n", type=int, required=True, help="shared channel index")
-    parser.add_argument("--spin", type=parse_spin, required=True, help="incoming spin: up or down")
+def _add_channel_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--E", type=float, required=required, help="total energy (mc^2 units)")
+    parser.add_argument("--V0", type=float, required=required, help="step height (mc^2 units)")
+    parser.add_argument("--b", type=float, required=required, help="field ratio hbar*omega/mc^2")
+    parser.add_argument("--n", type=int, required=required, help="shared channel index")
+    parser.add_argument("--spin", type=parse_spin, required=required, help="incoming spin: up or down")
 
 
 def _point_record(params: ChannelParams) -> dict:
@@ -334,13 +316,12 @@ def cmd_field(args) -> int:
     if args.csv:
         dens = field.density()
         row = int(np.argmin(np.abs(field.y - field.y0)))
+        slice_rows = _text_floats(np.stack((field.z, dens[row]), axis=1))
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("z,density\n")
-            slice_rows = _text_floats(np.stack((field.z, dens[row]), axis=1))
-            fh.writelines("%.17g,%.17g\n" % (z, d) for z, d in slice_rows)
+            _write_csv(fh, "z,density", ("%.17g,%.17g" % (z, d) for z, d in slice_rows))
         written["csv"] = args.csv
     emit_json({
-        "regime": classify(params).value,
+        "regime": field.amps.regime.value,
         "ny": int(field.y.size), "nz": int(field.z.size),
         "y0": field.y0,
         "files": written,
@@ -372,10 +353,7 @@ def cmd_filter_delay(args) -> int:
         cp_up, cp_down = split_momenta(setup)
         record["cp_up"], record["cp_down"] = cp_up, cp_down
     if args.si:
-        from scipy import constants
-
-        compton_time = constants.hbar / (constants.m_e * constants.c ** 2)
-        record["delay_si_seconds"] = delay * compton_time
+        record["delay_si_seconds"] = delay * COMPTON_TIME_S
     emit_json(record)
     return EXIT_OK
 
@@ -411,11 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, help="axis stop")
     p.add_argument("--count", type=int, default=None, help="number of points (default 51)")
     p.add_argument("--values", help="explicit comma-separated axis values")
-    p.add_argument("--E", type=float, help="fixed total energy")
-    p.add_argument("--V0", type=float, help="fixed step height")
-    p.add_argument("--b", type=float, help="fixed field ratio")
-    p.add_argument("--n", type=int, help="fixed channel index")
-    p.add_argument("--spin", type=parse_spin, help="incoming spin")
+    _add_channel_args(p, required=False)
     p.add_argument("--columns", help="comma-separated subset of output columns")
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--output", help="write CSV here instead of stdout")
@@ -455,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--g", type=float, default=2.002319, help="electron g-factor")
+    p.add_argument("--g", type=float, default=G_ELECTRON, help="electron g-factor")
     p.add_argument("--distance", type=float, default=1.0, help="flight path (Compton units)")
     p.add_argument("--branch", choices=("reflected", "transmitted"), default="reflected")
     p.add_argument("--V0", type=float, default=None, help="step height (transmitted branch)")
@@ -477,12 +451,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except (KleinStepError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except KleinStepError as exc:  # SingularMatrix and other numerical failures
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, SingularMatrix) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

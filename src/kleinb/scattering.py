@@ -36,7 +36,6 @@ from .states import (
     channel_valid,
     make_channel,
     parse_spin,
-    regime_codes,
 )
 
 #: Relative half-width of the excluded slice around V0 = E + 1, where
@@ -137,7 +136,8 @@ def _abs2(z):
 def kinematics(E, V0, C, up) -> Kinematics:
     """Kinematics of 1-D arrays of validated points (C = 2 b n, up a bool mask)."""
     cp, cq = longitudinal_momenta(E, V0, C)
-    regime = regime_codes(E, V0, C)
+    # the regime is the branch longitudinal_momenta took (states.regime_codes)
+    regime = np.where(cq.real == 0.0, EVANESCENT, np.where(cq.real < 0.0, 0, 1))
     eps = E + 1.0
     eps_bar = eps - V0
     ebar = E - V0
@@ -344,17 +344,16 @@ def spinor_table(k: Kinematics) -> np.ndarray:
     transverse factor Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n.  Without
     normalization prefactors.
     """
-    eps, eps_bar, cp, cq, rc = k.eps, k.eps_bar, k.cp, k.cq, k.rc
+    eps, eps_bar, rc = k.eps, k.eps_bar, k.rc
+    cp, cq = np.where(k.up, k.cp, -k.cp), np.where(k.up, k.cq, -k.cq)
     o = np.zeros_like(eps)
-    up = [
+    pairs = np.array([
         [eps, o, cp, rc], [eps, o, -cp, rc], [o, eps, rc, cp],
         [eps_bar, o, cq, rc], [o, eps_bar, rc, -cq],
-    ]
-    down = [
-        [o, eps, rc, -cp], [o, eps, rc, cp], [eps, o, -cp, rc],
-        [o, eps_bar, rc, -cq], [eps_bar, o, cq, rc],
-    ]
-    table = np.where(k.up, np.array(up, dtype=complex), np.array(down, dtype=complex))
+    ], dtype=complex).reshape(5, 2, 2, eps.size)
+    # spin-down is spin-up with cp, cq negated and components 1<->2, 3<->4
+    # swapped: each pair reversed, a view, so no second table is built
+    table = np.where(k.up, pairs, pairs[:, :, ::-1]).reshape(5, 4, eps.size)
     return np.moveaxis(table, -1, 0)
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ import kleinb.scattering
 import kleinb.states
 import kleinb.wavefield
 from kleinb import (
+    EvanescentBranch,
     KleinStepError,
+    SingularMatrix,
     Spin,
     amplitudes,
     classify,
@@ -107,6 +112,18 @@ class TestAmps:
         code, _, err = run_cli(capsys, "amps", "--E", "2", "--V0", "3",
                                "--b", "0.1", "--n", "1", "--spin", "up")
         assert code == 2 and "SingularStep" in err and not calls
+
+    @pytest.mark.parametrize("exc, code", [
+        (SingularMatrix("no solution"), 3),
+        (EvanescentBranch("no solution"), 2),
+        (ValueError("no solution"), 2),
+    ])
+    def test_error_exit_codes(self, capsys, monkeypatch, exc, code):
+        def fail(params):
+            raise exc
+        monkeypatch.setattr(kleinb.cli, "_point_results", fail)
+        assert run_cli(capsys, "amps", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1",
+                       "--spin", "up") == (code, "", f"error: {type(exc).__name__}: no solution\n")
 
 
 class TestSweep:
@@ -670,6 +687,22 @@ class TestFilterDelayCommand:
         rec = json.loads(out)
         # Compton time is 1.288e-21 s
         assert rec["delay_si_seconds"] == pytest.approx(rec["delay"] * 1.2880886e-21, rel=1e-6)
+
+    def test_si_conversion_without_scipy(self):
+        # the Compton time is a pinned constant, so --si needs only numpy
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = ("import sys; sys.modules['scipy'] = None\n"
+                  "from kleinb.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "filter-delay", "--E", "2", "--n", "1", "--b", "0.1",
+             "--distance", "1e6", "--si"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["delay_si_seconds"] == rec["delay"] * 1.2880886664441626e-21
 
     def test_evanescent_exit(self, capsys):
         code, _, err = run_cli(capsys, "filter-delay", "--E", "2", "--n", "1", "--b", "0.1",
