@@ -27,13 +27,31 @@ MAX_OSCILLATOR_INDEX = 200
 MAX_OSCILLATOR_ARG = 1e4
 
 
+def _oscillator_pair(n: int, xi):
+    """(Phi_{n-1}, Phi_n) over atleast_1d(xi), n >= 0: one pass of the
+    recurrence of eval_oscillator from (Phi_{-1} = 0, Phi_0)."""
+    if n > MAX_OSCILLATOR_INDEX:
+        raise OscillatorRange(
+            f"oscillator index {n} beyond documented stable range n <= {MAX_OSCILLATOR_INDEX}"
+        )
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("oscillator argument must be finite")
+    if np.any(np.abs(x) > MAX_OSCILLATOR_ARG):
+        raise OscillatorRange(f"|xi| beyond documented range {MAX_OSCILLATOR_ARG:g}")
+    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1.0)) * prev
+    return prev, cur
+
+
 def eval_oscillator(n: int, xi):
     """Normalized oscillator function Phi_n(xi), scalar or array.
 
     Phi_n(xi) = (2^n n! sqrt(pi))^(-1/2) H_n(xi) exp(-xi^2/2), evaluated
     through the recurrence on the normalized functions
 
-        Phi_0 = pi^(-1/4) exp(-xi^2/2),  Phi_1 = sqrt(2) xi Phi_0,
+        Phi_{-1} = 0,  Phi_0 = pi^(-1/4) exp(-xi^2/2),
         Phi_{k+1} = sqrt(2/(k+1)) xi Phi_k - sqrt(k/(k+1)) Phi_{k-1},
 
     which never materializes the raw Hermite polynomials.  n = -1
@@ -44,29 +62,9 @@ def eval_oscillator(n: int, xi):
         raise InvalidSpinIndex(f"oscillator index must be an integer, got {n!r}")
     if n < -1:
         raise InvalidSpinIndex(f"oscillator index must be >= -1, got {n}")
-    if n > MAX_OSCILLATOR_INDEX:
-        raise OscillatorRange(
-            f"oscillator index {n} beyond documented stable range n <= {MAX_OSCILLATOR_INDEX}"
-        )
-    arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("oscillator argument must be finite")
-    if np.any(np.abs(arr) > MAX_OSCILLATOR_ARG):
-        raise OscillatorRange(f"|xi| beyond documented range {MAX_OSCILLATOR_ARG:g}")
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-
-    if n == -1:
-        out = np.zeros_like(x)
-        return float(out[0]) if scalar else out
-
-    prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = math.sqrt(2.0) * x * prev
-    for k in range(1, n):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1.0)) * prev
-    return float(cur[0]) if scalar else cur
+    lo, hi = _oscillator_pair(max(n, 0), xi)
+    out = hi if n >= 0 else lo
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 def longitudinal_momenta(E, V0, C):

@@ -122,6 +122,12 @@ def arrival_delay(setup: FilterSetup) -> float:
     EvanescentBranch if the transmitted branch is requested where the
     wave decays.
 
+    The delay is the flight-time difference alone, with no scattering-
+    phase term: the step gives the same-spin and the flipped beam one
+    phase, up to sign (R conj(Rp) is real to rounding, and T conj(Tp) is
+    exactly real wherever the transmitted wave propagates), so it adds
+    no relative delay.
+
     Evaluated through the exact identity
     1/cp_up - 1/cp_down = b (g - 2) / (cp_up cp_down (cp_up + cp_down)),
     which avoids the catastrophic cancellation of subtracting two

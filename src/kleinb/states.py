@@ -95,14 +95,16 @@ class IncomingState:
     The pair degenerate at energy sqrt(cp^2 + 1 + 2 b n) carries one
     label n: spin-up means the member with orbital index n - 1, spin-down
     the member with orbital index n.  Spin-up therefore requires n >= 1;
-    (down, n = 0) is the single non-degenerate lowest state.  n is at
-    most MAX_LEVEL.
+    (down, n = 0) is the single non-degenerate lowest state.  spin must
+    be a Spin member and n is at most MAX_LEVEL.
     """
 
     spin: Spin
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spin, Spin):
+            raise InvalidSpinIndex(f"spin must be a Spin member, got {self.spin!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise InvalidSpinIndex(f"channel index n must be an integer, got {self.n!r}")
         if self.n < 0:
@@ -164,13 +166,13 @@ def check_energies(E: float, V0: float) -> None:
 
 
 def parse_spin(spin: Spin | str) -> Spin:
-    """Spin from a Spin member or a case-insensitive 'up'/'down' string."""
-    if isinstance(spin, str):
-        try:
-            return Spin(spin.lower())
-        except ValueError:
-            raise ValueError(f"spin must be 'up' or 'down', got {spin!r}") from None
-    return spin
+    """Spin from a Spin member or a case-insensitive 'up'/'down' string;
+    ValueError for anything else, bools and integers included."""
+    if isinstance(spin, Spin):
+        return spin
+    if isinstance(spin, str) and spin.lower() in ("up", "down"):
+        return Spin(spin.lower())
+    raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
 
 
 def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> ChannelParams:
@@ -178,7 +180,7 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
 
     Raises NegativeField for b < 0, InvalidSpinIndex for (up, 0),
     n < 0 or n > MAX_LEVEL, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
-    non-finite or out-of-range E, V0.  channel_valid is the same rule
+    non-finite or out-of-range E, V0 and for a spin parse_spin rejects.  channel_valid is the same rule
     over arrays.
     """
     return ChannelParams(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge
-from .landau import eval_oscillator, momentum_left
+from .landau import _oscillator_pair, momentum_left
 from .scattering import ScatterAmplitudes, amplitudes, point_kinematics, spinor_table
 from .states import ChannelParams
 
@@ -126,7 +126,7 @@ def _transverse(params: ChannelParams, y: np.ndarray, y0: float) -> np.ndarray:
         lo, hi = (np.zeros_like(y) if n - 1 < 0 else ones), ones
     else:
         xi = (y - y0) / params.field.magnetic_length
-        lo, hi = eval_oscillator(n - 1, xi), eval_oscillator(n, xi)
+        lo, hi = _oscillator_pair(n, xi)
     return np.stack((lo, hi, lo, hi))
 
 

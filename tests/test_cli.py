@@ -225,6 +225,36 @@ class TestSweep:
         assert code == 0
         assert len(out2.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ("axis = V0\nstart 0\n", "{path}:2: expected 'key = value', got 'start 0\\n'"),
+        ("axis = V0\nspeed = 3\ncolour = red\n", "unknown config key(s): colour, speed"),
+    ])
+    def test_bad_config_file_exit(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: ValueError: {message.format(path=cfg)}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--E", "2", "--b", "0.1", "--n", "1", "--spin", "up", "--start", "0"],
+         "sweep needs --values or --start/--stop/--count"),
+        (["--E", "2", "--n", "1", "--values", "1"], "missing fixed parameter(s): b, spin"),
+    ])
+    def test_incomplete_sweep_exit(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "V0", *flags)
+        assert code == 2 and out == ""
+        assert err == f"error: ValueError: {message}\n"
+
+    def test_count_one_is_the_start(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "V0", "--start", "6", "--stop", "9",
+                               "--count", "1", "--E", "2", "--b", "0.2", "--n", "1", "--spin", "up")
+        assert code == 0
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["axis_value"] == "6"
+        assert float(cells["refl_flip"]) == amps_record(capsys, 2.0, 6.0, 0.2, 1, "up")["refl_flip"]
+
     def test_non_integral_n_axis_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--axis", "n", "--values", "1,1.4,1.6",
@@ -742,6 +772,12 @@ class TestFilterDelayCommand:
                                  "--branch", branch, "--V0=-3")
         assert code == 2 and out == ""
         assert err == "error: ValueError: step height must be >= 0, got -3.0\n"
+
+    def test_negative_distance_exit(self, capsys):
+        code, out, err = run_cli(capsys, "filter-delay", "--E", "2", "--n", "1", "--b", "0.1",
+                                 "--distance=-1")
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: flight distance must be >= 0, got -1.0\n"
 
     def test_level_bound_exit(self, capsys):
         code, out, err = run_cli(capsys, "filter-delay", "--E", "2", "--b", "0.1",

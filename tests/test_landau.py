@@ -18,8 +18,21 @@ from kleinb import (
     momentum_left,
     momentum_right,
 )
-from kleinb.landau import MAX_OSCILLATOR_INDEX, longitudinal_momenta
+from kleinb.landau import MAX_OSCILLATOR_INDEX, _oscillator_pair, longitudinal_momenta
 from kleinb.states import EVANESCENT, REGIMES, regime_codes
+
+
+def seeded_recurrence(n, x):
+    """The normalized recurrence with separate Phi_{-1}, Phi_0 and Phi_1 seeds."""
+    if n == -1:
+        return np.zeros_like(x)
+    prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n == 0:
+        return prev
+    cur = math.sqrt(2.0) * x * prev
+    for k in range(1, n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1.0)) * prev
+    return cur
 
 
 def oscillator_explicit(n, x):
@@ -69,14 +82,28 @@ class TestOscillator:
         assert eval_oscillator(4, 60.0) == 0.0
 
     def test_range_guards(self):
-        with pytest.raises(OscillatorRange):
+        with pytest.raises(OscillatorRange, match="^oscillator index 201 beyond"):
             eval_oscillator(MAX_OSCILLATOR_INDEX + 1, 0.0)
-        with pytest.raises(OscillatorRange):
+        with pytest.raises(OscillatorRange, match=r"^\|xi\| beyond documented range 10000$"):
             eval_oscillator(2, 2e4)
-        with pytest.raises(InvalidSpinIndex):
+        with pytest.raises(InvalidSpinIndex, match="^oscillator index must be >= -1, got -2$"):
             eval_oscillator(-2, 0.0)
-        with pytest.raises(ValueError):
-            eval_oscillator(2, math.nan)
+        for n in (1.5, True):
+            with pytest.raises(InvalidSpinIndex, match=f"^oscillator index must be an integer, got {n}$"):
+                eval_oscillator(n, 0.5)
+        for xi in (math.nan, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="^oscillator argument must be finite$"):
+                eval_oscillator(-1, xi)
+
+    def test_one_pass_matches_seeded_recurrence(self):
+        # bit for bit, signed zeros included: the first step of the pair
+        # subtracts 0.0 * Phi_{-1} = 0.0 where the seeded form has none
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 0.7, -2.1, 13.0, 1e4, -1e4])
+        for n in range(MAX_OSCILLATOR_INDEX + 1):
+            lo, hi = _oscillator_pair(n, x)
+            assert lo.tobytes() == seeded_recurrence(n - 1, x).tobytes()
+            assert hi.tobytes() == seeded_recurrence(n, x).tobytes() == eval_oscillator(n, x).tobytes()
+        assert eval_oscillator(-1, x).tobytes() == np.zeros_like(x).tobytes()
 
     def test_stable_upper_range(self):
         # top of the documented range evaluates to finite values

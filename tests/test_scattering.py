@@ -363,6 +363,18 @@ edge_points = st.lists(
 )
 
 
+def assert_phase_identity(batch):
+    """The step gives the same-spin and the flipped beam one phase, up to
+    sign: the numerators of R and Rp are real in every regime (cq^2 is
+    real), so R conj(Rp) is real to rounding, and T/Tp = x/(rc V0) is
+    real wherever cq is, so T conj(Tp) is exactly real off CASE_III."""
+    ok = ~batch.singular & (batch.Rp != 0.0)
+    R, Rp = batch.R[ok], batch.Rp[ok]
+    assert np.all(np.abs((R * np.conj(Rp)).imag) <= 4.0 * 2.0 ** -53 * np.abs(R) * np.abs(Rp))
+    open_ = ~batch.singular & (batch.regime != EVANESCENT)
+    assert np.all((batch.T[open_] * np.conj(batch.Tp[open_])).imag == 0.0)
+
+
 class TestBatch:
     @settings(max_examples=150, deadline=None)
     @given(points=edge_points)
@@ -407,6 +419,20 @@ class TestBatch:
         for name in ("Rp", "Tp"):
             assert np.array_equal(getattr(up, name), -getattr(down, name), equal_nan=True), name
 
+    @settings(max_examples=150, deadline=None)
+    @given(points=edge_points)
+    def test_phase_identity_at_edges(self, points):
+        # the thresholds and the V0 = E + 1 sliver included
+        E, V0, b, n = (np.array(col, dtype=float) for col in list(zip(*points))[:4])
+        up = np.array([p[4] == "up" for p in points])
+        keep = channel_valid(E, V0, b, n, up)
+        if keep.any():
+            assert_phase_identity(amplitudes_batch(E[keep], V0[keep], b[keep], n[keep],
+                                                   np.where(up[keep], "up", "down")))
+
+    def test_phase_identity_on_seeded_grid(self, param_grid):
+        assert_phase_identity(param_grid.amps)
+
     def test_oracle_matches_scalar_solve_on_seeded_grid(self, param_grid):
         g = param_grid
         solved, failed = solve_boundary_batch(g.E, g.V0, g.b, g.n, g.spin)
@@ -414,6 +440,27 @@ class TestBatch:
         for p, row in zip(param_grid, solved):
             s = solve_boundary_system(p)
             assert tuple(row) == (s.R, s.Rp, s.T, s.Tp)
+
+    def test_per_point_fallback_matches_batched_solve(self, param_grid, monkeypatch):
+        g = param_grid[:200]
+        batched, batched_failed = solve_boundary_batch(g.E, g.V0, g.b, g.n, g.spin)
+        assert not batched_failed.any()
+        solve, calls = np.linalg.solve, []
+
+        def per_point_only(a, rhs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("batched solve refused")
+            calls.append(len(calls))
+            if len(calls) == 8:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", per_point_only)
+        x, failed = solve_boundary_batch(g.E, g.V0, g.b, g.n, g.spin)
+        assert len(calls) == len(g)
+        assert failed[7] and np.isnan(x[7]).all()
+        rest = np.arange(len(g)) != 7
+        assert not failed[rest].any() and np.array_equal(x[rest], batched[rest])
 
     def test_broadcasting(self):
         e = np.array([[2.0], [3.0]])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,9 @@ from kleinb import (
     NegativeField,
     Regime,
     Spin,
+    amplitudes_batch,
     classify,
+    klein_limit,
     make_channel,
 )
 from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid, level_floats
@@ -34,6 +37,26 @@ def test_spin_from_string():
     assert make_channel(2.0, 0.0, 0.0, "DOWN", 0).spin is Spin.DOWN
     with pytest.raises(ValueError):
         make_channel(2.0, 0.0, 0.0, "sideways", 1)
+
+
+@pytest.mark.parametrize("spin", [True, False, 1, 0, None, 42, b"up"])
+def test_spin_not_coerced(spin):
+    message = f"spin must be 'up' or 'down', got {spin!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make_channel(2.0, 6.0, 0.2, spin, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        amplitudes_batch(2.0, 6.0, 0.2, 1, spin)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        klein_limit(spin, 1, 2.0, 0.2)
+
+
+def test_incoming_state_takes_only_spin_members():
+    for spin in ("up", "down", True, None):
+        with pytest.raises(InvalidSpinIndex, match="spin must be a Spin member"):
+            IncomingState(spin, 1)
+    with pytest.raises(InvalidSpinIndex):
+        IncomingState("up", 0)  # would otherwise bypass the (up, 0) rule
+    assert IncomingState(Spin.UP, 1).spin is Spin.UP
 
 
 def test_closed_channel_at_threshold():

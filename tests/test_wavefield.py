@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -295,6 +296,13 @@ class TestInputValidation:
         f = assemble_field(self.P, ny=np.int64(5), nz=np.int32(3))
         assert f.values.shape == (4, 5, 3)
 
+    @pytest.mark.parametrize("half", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_halfwidth_must_be_finite_and_positive(self, axis, half):
+        message = f"{axis} halfwidth must be finite and > 0, got {half}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            assemble_field(self.P, ny=8, nz=8, **{f"{axis}_halfwidth": half})
+
     def test_guiding_center_overflow_rejected(self):
         for k_x in (1e308, math.nan):
             with pytest.raises(ValueError, match="k_x"):
@@ -319,6 +327,12 @@ class TestContinuity:
         bad = replace(a, R=a.R + 1e-3)
         f = assemble_field(p, amps=bad, ny=129, nz=2)
         assert continuity_residual(f) > 1e-4
+
+    def test_underflowed_boundary_reads_zero(self):
+        # 900 magnetic lengths off the guiding center every Phi underflows to 0
+        f = assemble_field(make_channel(2.0, 1.0, 1.0, Spin.UP, 1), y=[900.0], nz=4)
+        assert not f.trans.any()
+        assert continuity_residual(f) == 0.0
 
     def test_degenerate_normalization_point(self):
         # E = V0: T vanishes while its normalization diverges; the
@@ -430,6 +444,13 @@ class TestGridFiles:
         f = assemble_field(p, ny=8, nz=8)
         with pytest.raises(ValueError):
             save_grid(tmp_path / "x.bin", f, what="phase")
+        path = tmp_path / "kind7.bin"
+        save_grid(path, f)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = (7).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^unknown payload kind 7$"):
+            load_grid(path)
 
 
 def test_random_fields_are_finite(seed):
