@@ -275,6 +275,8 @@ class BatchAmplitudes:
 
 
 def _spin_up(spin) -> np.ndarray:
+    if isinstance(spin, type):  # np.asarray would iterate the Spin class into both members
+        raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
     arr = np.asarray(spin, dtype=object)
     flat = arr.ravel()
     up = flat == Spin.UP

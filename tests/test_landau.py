@@ -91,9 +91,10 @@ class TestOscillator:
         for n in (1.5, True):
             with pytest.raises(InvalidSpinIndex, match=f"^oscillator index must be an integer, got {n}$"):
                 eval_oscillator(n, 0.5)
-        for xi in (math.nan, [1.0, math.inf]):
-            with pytest.raises(ValueError, match="^oscillator argument must be finite$"):
-                eval_oscillator(-1, xi)
+        for n in (-1, 2):
+            for xi in (math.nan, [1.0, math.inf]):
+                with pytest.raises(ValueError, match="^oscillator argument must be finite$"):
+                    eval_oscillator(n, xi)
 
     def test_one_pass_matches_seeded_recurrence(self):
         # bit for bit, signed zeros included: the first step of the pair

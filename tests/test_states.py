@@ -39,7 +39,7 @@ def test_spin_from_string():
         make_channel(2.0, 0.0, 0.0, "sideways", 1)
 
 
-@pytest.mark.parametrize("spin", [True, False, 1, 0, None, 42, b"up"])
+@pytest.mark.parametrize("spin", [True, False, 1, 0, None, 42, b"up", Spin])
 def test_spin_not_coerced(spin):
     message = f"spin must be 'up' or 'down', got {spin!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
