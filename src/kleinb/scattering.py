@@ -9,7 +9,10 @@ One array core evaluates the amplitudes, the budgets and the oracle:
 amplitudes_batch and solve_boundary_batch take arrays of channels, and
 the scalar functions (amplitudes, current_budget, solve_boundary_system)
 are the same code run on one point, so batch and scalar results agree
-bit for bit.
+bit for bit.  Both batch functions validate their inputs into one
+Kinematics; the closed forms (_evaluate) and the oracle (_boundary_solve)
+can also take the kinematics a grid already holds, as the selftest grid
+does, and give the same bits as the public calls on the grid's arrays.
 
 Notation (all mc^2 units): eps = E + 1, eps_bar = E + 1 - V0,
 ebar = E - V0, C = 2 b n, cp/cq the longitudinal momenta, and the
@@ -314,7 +317,11 @@ def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
     scalar amplitudes and current_budget return the same numbers bit for
     bit.
     """
-    k, shape = _batch_kinematics(E, V0, b, n, spin)
+    return _evaluate(*_batch_kinematics(E, V0, b, n, spin))
+
+
+def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:
+    """Closed forms and budgets over validated kinematics, reshaped to `shape`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         amps = _closed_forms(k)
         budget = _budget(k, amps[0], amps[1], amps[2])
@@ -372,12 +379,14 @@ def _boundary_table(k: Kinematics):
 def _boundary_solve(k: Kinematics):
     """Oracle amplitudes (N, 4) = (R, Rp, T, Tp) and the mask of failed points."""
     table, failed = _boundary_table(k)
-    a = np.stack([table[:, 1], table[:, 2], -table[:, 3], -table[:, 4]], axis=-1)
+    # columns: the pieces R, Rp, T, Tp; the transmitted ones enter negated
+    a = table[:, 1:].swapaxes(1, 2).copy()
+    np.negative(a[:, :, 2:], out=a[:, :, 2:])
     # unit-column scaling keeps the solve well conditioned for tall steps
-    colnorm = np.linalg.norm(a, axis=-2)
+    colnorm = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=-2))
     failed |= ~np.all(np.isfinite(colnorm), axis=-1) | np.any(colnorm == 0.0, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = a / colnorm[:, None, :]
+        a /= colnorm[:, None, :]
     rhs = -table[:, 0]
     a[failed] = np.eye(4)
     rhs[failed] = 0.0
@@ -391,7 +400,7 @@ def _boundary_solve(k: Kinematics):
             except np.linalg.LinAlgError:
                 failed[i] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = x / colnorm
+        x /= colnorm
     failed |= ~np.all(np.isfinite(x.view(float)), axis=-1)
     return x, failed
 

@@ -18,12 +18,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .landau import longitudinal_momenta
 from .scattering import (
     BatchAmplitudes,
+    Kinematics,
+    _batch_kinematics,
+    _boundary_solve,
+    _evaluate,
     amplitudes,
     amplitudes_batch,
-    solve_boundary_batch,
     solve_boundary_system,
 )
 from .states import EVANESCENT, ChannelParams, Spin, make_channel
@@ -47,8 +49,9 @@ BLOCK_SIZE = 1024
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
 #: complex oracle solve dominates the memory: its spinor table, scaled
 #: matrices and right-hand sides peak at ~1.2 KiB per point (tracemalloc)
-#: and run(MAX_SELFTEST_POINTS) peaked at 553 MiB RSS, about what a field
-#: grid at wavefield.MAX_GRID_POINTS takes.
+#: and run(MAX_SELFTEST_POINTS) peaked at 501 MiB RSS and took about 1.6 s
+#: on a 2-core x86-64 host, about what a field grid at
+#: wavefield.MAX_GRID_POINTS takes.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0
@@ -90,7 +93,7 @@ def sample_params(rng: np.random.Generator, n_max: int = 20) -> ChannelParams:
 
 def sample_grid(points: int, seed: int | None = None) -> GridBatch:
     """The seeded grid of `points` random open channels, with their
-    closed-form amplitudes.
+    validated kinematics and closed-form amplitudes.
 
     Candidates are drawn in blocks of BLOCK_SIZE (see _draw_block) and
     the first `points` kept ones form the grid.  Raises ValueError
@@ -107,7 +110,8 @@ def sample_grid(points: int, seed: int | None = None) -> GridBatch:
         kept += blocks[-1][0].size
     E, V0, b, n, up = (np.concatenate(col)[:points] for col in zip(*blocks))
     spin = np.where(up, Spin.UP, Spin.DOWN)
-    return GridBatch(E, V0, b, n, spin, amplitudes_batch(E, V0, b, n, spin))
+    k, shape = _batch_kinematics(E, V0, b, n, spin)
+    return GridBatch(E, V0, b, n, spin, _evaluate(k, shape), k)
 
 
 @dataclass
@@ -122,8 +126,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class GridBatch:
-    """A parameter grid as arrays, with its closed-form amplitudes and
-    budgets evaluated once (one amplitudes_batch call).
+    """A parameter grid as arrays, with its validated kinematics and its
+    closed-form amplitudes and budgets, each evaluated once.
 
     Indexing with a slice or mask gives a sub-grid without re-evaluating;
     iterating yields each point as validated ChannelParams.
@@ -135,6 +139,7 @@ class GridBatch:
     n: np.ndarray
     spin: np.ndarray
     amps: BatchAmplitudes
+    kin: Kinematics
 
     def __len__(self) -> int:
         return self.E.size
@@ -143,7 +148,7 @@ class GridBatch:
         a = self.amps
         amps = BatchAmplitudes(*(getattr(a, f.name)[index] for f in fields(a)))
         return GridBatch(self.E[index], self.V0[index], self.b[index], self.n[index],
-                         self.spin[index], amps)
+                         self.spin[index], amps, Kinematics(*(x[index] for x in self.kin)))
 
     def __iter__(self) -> Iterator[ChannelParams]:
         for i in range(len(self)):
@@ -191,7 +196,7 @@ def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
 def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     """Closed forms match the 4x4 boundary solve component-wise."""
     a = grid.amps
-    solved, failed = solve_boundary_batch(grid.E, grid.V0, grid.b, grid.n, grid.spin)
+    solved, failed = _boundary_solve(grid.kin)
     deviation = np.where(
         failed, np.inf, _deviation(np.stack([a.R, a.Rp, a.T, a.Tp]), np.moveaxis(solved, -1, 0))
     )
@@ -210,10 +215,10 @@ def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     a = g.amps
     flipped = (a.Rp != 0.0) | (a.Tp != 0.0)
     # independent route for the amplitude algebra: R = (1 - kappa)/(1 + kappa).
-    # The momenta are landau's (checked against 60-digit references in the
-    # test suite); a float re-derivation would cancel near |E - V0| = 1 and
-    # be less accurate than the value it checks.
-    cp, cq = longitudinal_momenta(g.E, g.V0, 0.0)
+    # The momenta are the grid's, landau's at C = 0 (checked against 60-digit
+    # references in the test suite); a float re-derivation would cancel near
+    # |E - V0| = 1 and be less accurate than the value it checks.
+    cp, cq = g.kin.cp, g.kin.cq
     kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
     err_r = np.abs(a.R - (1.0 - kappa) / (1.0 + kappa))
     err_total = np.where(a.regime == EVANESCENT, np.abs(np.abs(a.R) ** 2 - 1.0), 0.0)
@@ -252,16 +257,18 @@ def check_flip_scaling() -> CheckResult:
 
 
 def check_spin_symmetry(grid: GridBatch, tol: float = 1e-14) -> CheckResult:
-    """(up, n) and (down, n) give identical budgets and opposite flip signs."""
+    """(up, n) and (down, n) give identical budgets and opposite flip signs:
+    each point's amplitudes against those of its mirrored spin."""
     g = grid[grid.n != 0]
-    up = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.UP)
-    down = amplitudes_batch(g.E, g.V0, g.b, g.n, Spin.DOWN)
+    own = g.amps
+    mirror = amplitudes_batch(g.E, g.V0, g.b, g.n, np.where(g.spin == Spin.UP, Spin.DOWN, Spin.UP))
     diff = np.max(
-        [np.abs(getattr(up, f) - getattr(down, f))
+        [np.abs(getattr(own, f) - getattr(mirror, f))
          for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")],
         axis=0, initial=0.0,
     )
-    exact = (down.Rp == -up.Rp) & (down.Tp == -up.Tp) & (down.R == up.R) & (down.T == up.T)
+    exact = ((mirror.Rp == -own.Rp) & (mirror.Tp == -own.Tp)
+             & (mirror.R == own.R) & (mirror.T == own.T))
     worst = float(diff.max(initial=0.0))
     signs_ok = bool(exact.all())
     return _result(

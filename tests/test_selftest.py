@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shlex
@@ -5,14 +6,16 @@ import shlex
 import numpy as np
 import pytest
 
+import kleinb.selftest
 from kleinb import Spin, make_channel
 from kleinb.states import REGIMES
 from kleinb.cli import main
-from kleinb.scattering import solve_boundary_batch
+from kleinb.scattering import _batch_kinematics, amplitudes_batch, solve_boundary_batch
 from kleinb.selftest import (
     BLOCK_SIZE,
     MAX_SELFTEST_POINTS,
     check_oracle,
+    check_spin_symmetry,
     check_unitarity,
     run,
     sample_grid,
@@ -153,3 +156,58 @@ class TestFailureNamesPoint:
             assert complex(rec[name]["re"], rec[name]["im"]) == value
         for name in ("refl_same", "refl_flip", "trans_same", "trans_flip"):
             assert rec[name] == getattr(a, name)[i]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint8)
+
+
+@pytest.mark.parametrize("index", ["full", "slice", "mask"])
+def test_oracle_on_kept_kinematics_matches_public_solve(monkeypatch, param_grid, index):
+    # check_oracle solves from the kinematics the grid keeps; they must stay
+    # aligned with the grid's arrays under indexing, so its deviations are
+    # those of solve_boundary_batch on the sub-grid's arrays, bit for bit
+    grid = param_grid[{"full": slice(None), "slice": slice(5, 500, 3),
+                       "mask": (param_grid.b > 0.3) | (param_grid.n % 2 == 1)}[index]]
+    k, _ = _batch_kinematics(*grid_arrays(grid))
+    for name, kept, rebuilt in zip(k._fields, grid.kin, k):
+        assert kept.dtype == rebuilt.dtype and np.array_equal(bits(kept), bits(rebuilt)), name
+
+    scores, result = [], kleinb.selftest._result
+
+    def spy(*args):
+        scores.append(args[-1])
+        return result(*args)
+
+    monkeypatch.setattr(kleinb.selftest, "_result", spy)
+    assert check_oracle(grid).passed
+    solved, failed = solve_boundary_batch(*grid_arrays(grid))
+    a = grid.amps
+    closed = np.stack([a.R, a.Rp, a.T, a.Tp], axis=-1)
+    want = np.where(failed, np.inf, np.abs(closed - solved).max(axis=-1)
+                    / np.maximum(1.0, np.abs(closed).max(axis=-1)))
+    assert len(scores) == 1 and np.array_equal(bits(scores[0]), bits(want))
+
+
+def _own_spin(E, V0, b, n, spin):
+    return amplitudes_batch(E, V0, b, n, np.where(spin == Spin.UP, Spin.DOWN, Spin.UP))
+
+
+def _unsigned_flip(E, V0, b, n, spin):
+    a = amplitudes_batch(E, V0, b, n, spin)
+    return dataclasses.replace(a, Rp=-a.Rp, Tp=-a.Tp)
+
+
+@pytest.mark.parametrize("mirror", [_own_spin, _unsigned_flip])
+def test_spin_symmetry_catches_a_wrong_mirror(monkeypatch, param_grid, mirror):
+    # a mirrored evaluation that returns the grid's own spin, or flip
+    # amplitudes without the sign change, keeps every budget equal: only
+    # the exact sign check can fail, at the first point with a flip
+    monkeypatch.setattr(kleinb.selftest, "amplitudes_batch", mirror)
+    result = check_spin_symmetry(param_grid)
+    assert not result.passed and result.line().startswith("FAIL")
+    assert "max budget difference = 0.000e+00" in result.detail
+    assert "exact sign flip = False" in result.detail
+    g = param_grid[param_grid.n != 0]
+    first_flip = int(np.argmax((g.amps.Rp != 0.0) | (g.amps.Tp != 0.0)))
+    assert result.detail.endswith(f"worst point: {g.reproducer(first_flip)}")
