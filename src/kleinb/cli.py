@@ -158,8 +158,8 @@ def _read_config(path: str) -> dict:
 def _axis_values(args) -> list[float]:
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-        if len(values) > MAX_CSV_ROWS:
-            raise ValueError(f"sweep has {len(values)} values, more than MAX_CSV_ROWS = {MAX_CSV_ROWS}")
+        if not 1 <= len(values) <= MAX_CSV_ROWS:
+            raise ValueError(f"sweep has {len(values)} values, not in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}]")
     elif args.start is None or args.stop is None:
         raise ValueError("sweep needs --values or --start/--stop/--count")
     elif not 1 <= args.count <= MAX_CSV_ROWS:

@@ -13,6 +13,9 @@ bit for bit.  Both batch functions validate their inputs into one
 Kinematics; the closed forms (_evaluate) and the oracle (_boundary_solve)
 can also take the kinematics a grid already holds, as the selftest grid
 does, and give the same bits as the public calls on the grid's arrays.
+The oracle reads its 4x4 systems straight off spinor_table, whose
+(N, 4, 5) layout is the matching system's: one multiply by the
+normalizations gives the columns, one negation the transmitted pair.
 
 Notation (all mc^2 units): eps = E + 1, eps_bar = E + 1 - V0,
 ebar = E - V0, C = 2 b n, cp/cq the longitudinal momenta, and the
@@ -152,29 +155,12 @@ def kinematics(E, V0, C, up) -> Kinematics:
     )
 
 
-def _kappa(k: Kinematics):
-    """Kinematic factor kappa = cq*eps/(cp*eps_bar), divided part by part
-    (what _cdiv does for a real divisor)."""
-    g = k.cq * k.eps
-    den = k.cp * k.eps_bar
-    return _complex(g.real / den, g.imag / den)
-
-
 def point_kinematics(params: ChannelParams) -> Kinematics:
     """Kinematics of one channel, as 1-element arrays."""
     return kinematics(
         np.array([params.E]), np.array([params.V0]), np.array([params.C]),
         np.array([params.spin is Spin.UP]),
     )
-
-
-def _check_singular(k: Kinematics) -> None:
-    if k.singular[0]:
-        E, V0 = float(k.E[0]), float(k.V0[0])
-        raise SingularStep(
-            f"V0 = {V0:.17g} within tolerance of E + 1 = {E + 1.0:.17g}: "
-            "kinematic factor diverges"
-        )
 
 
 #: Inside |eps_bar| < NEAR_SINGULAR_FRACTION * (1 + V0) the amplitudes are
@@ -244,7 +230,7 @@ def _budget(k: Kinematics, R, Rp, T):
     refl_same = _abs2(R)
     refl_flip = _abs2(Rp)
     evanescent = k.regime == EVANESCENT
-    kappa = _kappa(k).real
+    kappa = k.cq.real * k.eps / (k.cp * k.eps_bar)
     trans_same = np.where(evanescent, 0.0, kappa * _abs2(T * (k.eps_bar / (k.w * k.eps))))
     trans_flip = np.where(evanescent, 0.0, kappa * refl_flip)
     return refl_same, refl_flip, trans_same, trans_flip
@@ -339,19 +325,19 @@ def amplitudes(params: ChannelParams) -> ScatterAmplitudes:
     to activate the spin-orbit coupling.  Raises SingularStep on the
     slice V0 = E + 1.
     """
-    k = point_kinematics(params)
-    _check_singular(k)
-    R, Rp, T, Tp = _closed_forms(k)[:, 0].tolist()
-    return ScatterAmplitudes(R=R, Rp=Rp, T=T, Tp=Tp, regime=REGIMES[k.regime[0]])
+    return _point_results(params)[0]
 
 
 def spinor_table(k: Kinematics) -> np.ndarray:
-    """Spinor coefficients of the five wave pieces, shape (N, 5, 4).
+    """Spinor coefficients of the five wave pieces, shape (N, 4, 5).
 
-    Pieces in order: incident, reflected same-spin, reflected flip,
-    transmitted same-spin, transmitted flip.  Component i multiplies the
-    transverse factor Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n.  Without
-    normalization prefactors.
+    The matching system's own layout: component i on the middle axis,
+    piece j on the last, so _boundary_solve scales and negates its
+    columns in one pass.  Spin-up pieces j = 0..4: incident (eps, 0, cp, rc),
+    R (eps, 0, -cp, rc), Rp (0, eps, rc, cp), T (eps_bar, 0, cq, rc) and
+    Tp (0, eps_bar, rc, -cq).  Component i multiplies the transverse
+    factor Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n.  Without normalization
+    prefactors.
     """
     eps, eps_bar, rc = k.eps, k.eps_bar, k.rc
     cp, cq = np.where(k.up, k.cp, -k.cp), np.where(k.up, k.cq, -k.cq)
@@ -362,32 +348,24 @@ def spinor_table(k: Kinematics) -> np.ndarray:
     ], dtype=complex).reshape(5, 2, 2, eps.size)
     # spin-down is spin-up with cp, cq negated and components 1<->2, 3<->4
     # swapped: each pair reversed, a view, so no second table is built
-    table = np.where(k.up, pairs, pairs[:, :, ::-1]).reshape(5, 4, eps.size)
-    return np.moveaxis(table, -1, 0)
-
-
-def _boundary_table(k: Kinematics):
-    """Normalized spinor table and the mask of degenerate normalizations."""
-    norm2 = np.abs(k.eps_bar * k.ebar)
-    with np.errstate(divide="ignore"):
-        nr = 1.0 / np.sqrt(2.0 * norm2)
-    scale = np.stack([k.nl, k.nl, k.nl, nr, nr], axis=-1)
-    with np.errstate(invalid="ignore"):
-        return spinor_table(k) * scale[:, :, None], norm2 == 0.0
+    return np.where(k.up, pairs, pairs[:, :, ::-1]).reshape(5, 4, eps.size).T
 
 
 def _boundary_solve(k: Kinematics):
     """Oracle amplitudes (N, 4) = (R, Rp, T, Tp) and the mask of failed points."""
-    table, failed = _boundary_table(k)
-    # columns: the pieces R, Rp, T, Tp; the transmitted ones enter negated
-    a = table[:, 1:].swapaxes(1, 2).copy()
-    np.negative(a[:, :, 2:], out=a[:, :, 2:])
-    # unit-column scaling keeps the solve well conditioned for tall steps
-    colnorm = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=-2))
-    failed |= ~np.all(np.isfinite(colnorm), axis=-1) | np.any(colnorm == 0.0, axis=-1)
+    table, nl = spinor_table(k), k.nl
     with np.errstate(divide="ignore", invalid="ignore"):
+        nr = 1.0 / np.sqrt(2.0 * np.abs(k.eps_bar * k.ebar))
+        # columns: the normalized pieces R, Rp, T, Tp; the transmitted ones enter negated
+        a = np.multiply(table[:, :, 1:], np.stack((nl, nl, nr, nr), axis=-1)[:, None], order="C")
+        np.negative(a[:, :, 2:], out=a[:, :, 2:])
+        rhs = -(table[:, :, 0] * nl[:, None])
+        # unit-column scaling keeps the solve well conditioned for tall steps; a
+        # degenerate normalization (E = V0 or V0 = E + 1 exactly) leaves nr and
+        # so both transmitted columns non-finite
+        colnorm = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=-2))
+        failed = ~np.all(np.isfinite(colnorm), axis=-1) | np.any(colnorm == 0.0, axis=-1)
         a /= colnorm[:, None, :]
-    rhs = -table[:, 0]
     a[failed] = np.eye(4)
     rhs[failed] = 0.0
     try:
@@ -456,7 +434,11 @@ def _point_results(params: ChannelParams) -> tuple[ScatterAmplitudes, CurrentBud
     """amplitudes(params) and current_budget(params) from one evaluation
     of the closed forms."""
     k = point_kinematics(params)
-    _check_singular(k)
+    if k.singular[0]:
+        raise SingularStep(
+            f"V0 = {params.V0:.17g} within tolerance of E + 1 = {params.E + 1.0:.17g}: "
+            "kinematic factor diverges"
+        )
     forms = _closed_forms(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = _budget(k, *forms[:3])

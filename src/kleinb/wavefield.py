@@ -91,12 +91,12 @@ class SpinorField:
 def _pieces(params: ChannelParams, amps: ScatterAmplitudes):
     """Wave pieces as (coefficient 4-vector, k_z, side) with side -1/+1.
 
-    Coefficient vectors are the rows of scattering.spinor_table times
+    Coefficient vectors are the columns of scattering.spinor_table times
     the left normalization 1/sqrt(2*eps*E); the transmitted ones are
     rescaled by tau = T/w so both sides share the left normalization.
     """
     k = point_kinematics(params)
-    table = spinor_table(k)[0]
+    table = spinor_table(k)[0].T
     cp, cq = float(k.cp[0]), complex(k.cq[0])
     nl, w = float(k.nl[0]), float(k.w[0])
     if w > 0.0:

@@ -27,6 +27,9 @@ from kleinb import (
 from kleinb.cli import MAX_CSV_ROWS, SWEEP_VALUE_COLUMNS, build_parser, fmt, main
 
 
+EMPTY_VALUES = f"sweep has 0 values, not in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}]"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -228,6 +231,7 @@ class TestSweep:
     @pytest.mark.parametrize("text, message", [
         ("axis = V0\nstart 0\n", "{path}:2: expected 'key = value', got 'start 0\\n'"),
         ("axis = V0\nspeed = 3\ncolour = red\n", "unknown config key(s): colour, speed"),
+        ("axis = V0\nvalues =\nE = 2\nb = 0.1\nn = 1\nspin = up\n", EMPTY_VALUES),
     ])
     def test_bad_config_file_exit(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "sweep.cfg"
@@ -240,6 +244,8 @@ class TestSweep:
         (["--E", "2", "--b", "0.1", "--n", "1", "--spin", "up", "--start", "0"],
          "sweep needs --values or --start/--stop/--count"),
         (["--E", "2", "--n", "1", "--values", "1"], "missing fixed parameter(s): b, spin"),
+        (["--E", "2", "--b", "0.1", "--n", "1", "--spin", "up", "--values", ","], EMPTY_VALUES),
+        (["--E", "2", "--b", "0.1", "--n", "1", "--spin", "up", "--values", ""], EMPTY_VALUES),
     ])
     def test_incomplete_sweep_exit(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "sweep", "--axis", "V0", *flags)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kleinb.scattering
 from kleinb import (
     ClosedChannel,
     InvalidSpinIndex,
@@ -24,7 +25,7 @@ from kleinb import (
     solve_boundary_batch,
     solve_boundary_system,
 )
-from kleinb.scattering import point_kinematics
+from kleinb.scattering import kinematics, point_kinematics, spinor_table
 from kleinb.selftest import amplitude_deviation, sample_grid
 from kleinb.states import EVANESCENT, REGIMES, channel_valid
 
@@ -163,6 +164,49 @@ class TestBoundarySolve:
         # E = V0 exactly: the transmitted spinor cannot be normalized
         with pytest.raises(SingularMatrix):
             solve_boundary_system(make_channel(2.0, 2.0, 0.0, Spin.DOWN, 0))
+
+
+class TestSpinorTable:
+    """The coefficients the oracle and the field both read, in the
+    matching system's layout (N, 4, 5): components by pieces."""
+
+    def test_spin_up_pieces_are_the_documented_vectors(self, param_grid):
+        k = param_grid.kin
+        table = spinor_table(k)
+        assert table.shape == (len(param_grid), 4, 5) and k.up.any()
+        for i in np.flatnonzero(k.up):
+            eps, eps_bar, cp, cq, rc = k.eps[i], k.eps_bar[i], k.cp[i], k.cq[i], k.rc[i]
+            pieces = [(eps, 0, cp, rc), (eps, 0, -cp, rc), (0, eps, rc, cp),
+                      (eps_bar, 0, cq, rc), (0, eps_bar, rc, -cq)]
+            for j, piece in enumerate(pieces):
+                assert table[i, :, j].tolist() == [complex(x) for x in piece]
+
+    def test_spin_down_is_spin_up_mirrored(self, param_grid):
+        # cp, cq negated and components 1 <-> 2, 3 <-> 4 swapped
+        k = param_grid.kin
+        down = ~k.up
+        assert down.any()
+        up = kinematics(k.E, k.V0, k.C, np.ones_like(k.up))._replace(cp=-k.cp, cq=-k.cq)
+        mirrored = spinor_table(up)[:, [1, 0, 3, 2], :]
+        assert np.array_equal(spinor_table(k)[down], mirrored[down])
+
+
+class TestScalarEvaluations:
+    def test_closed_forms_evaluated_once_per_call(self, monkeypatch):
+        closed_forms, calls = kleinb.scattering._closed_forms, []
+        monkeypatch.setattr(kleinb.scattering, "_closed_forms",
+                            lambda k: calls.append(k) or closed_forms(k))
+        points = [(2.0, 6.0, 0.2, Spin.UP, 1), (2.0, 2.0, 0.0, Spin.DOWN, 0),
+                  (2.0, 2.0, 0.3, Spin.UP, 1)]
+        for f in (amplitudes, current_budget):
+            for point in points:
+                calls.clear()
+                f(make_channel(*point))
+                assert len(calls) == 1
+            calls.clear()
+            with pytest.raises(SingularStep):
+                f(make_channel(2.0, 3.0, 0.1, Spin.UP, 1))  # V0 = E + 1
+            assert not calls
 
 
 class TestCurrentBudget:
