@@ -14,8 +14,9 @@ Kinematics; the closed forms (_evaluate) and the oracle (_boundary_solve)
 can also take the kinematics a grid already holds, as the selftest grid
 does, and give the same bits as the public calls on the grid's arrays.
 The oracle reads its 4x4 systems straight off spinor_table, whose
-(N, 4, 5) layout is the matching system's: one multiply by the
-normalizations gives the columns, one negation the transmitted pair.
+(N, 4, 5) layout is the matching system's: the columns are scaled by
+the normalizations, and the transmitted pair negated, in place in the
+table's own memory.
 
 Notation (all mc^2 units): eps = E + 1, eps_bar = E + 1 - V0,
 ebar = E - V0, C = 2 b n, cp/cq the longitudinal momenta, and the
@@ -187,9 +188,9 @@ def _closed_forms(k: Kinematics) -> np.ndarray:
 
     which keeps R and Rp (and the current budget) accurate to rounding
     arbitrarily close to the singular slice.  T and Tp genuinely diverge
-    there like |eps_bar|^(-1/2); they stay relatively accurate.  np.where
-    picks the form per point.  For incoming spin-down the flip
-    amplitudes change sign.
+    there like |eps_bar|^(-1/2); they stay relatively accurate.  Only the
+    points within NEAR_SINGULAR_FRACTION are evaluated again in this
+    form.  For incoming spin-down the flip amplitudes change sign.
 
     Products of two complex numbers with both parts nonzero are written
     out in real arithmetic and quotients go through _cdiv, so every
@@ -210,12 +211,14 @@ def _closed_forms(k: Kinematics) -> np.ndarray:
     num[2] = lead * x
     num[3] = lead * rc * V0
     amps = _cdiv(num, d)
-    near = np.abs(eps_bar) < NEAR_SINGULAR_FRACTION * (1.0 + V0)
-    if near.any():
+    near = np.flatnonzero(np.abs(eps_bar) < NEAR_SINGULAR_FRACTION * (1.0 + V0))
+    if near.size:
+        c, V0, cp, cq, eps, eps_bar, rc = (v[near] for v in (c, V0, cp, cq, eps, eps_bar, rc))
         kk = cp * cp * eps_bar + 2.0 * cp * cq * eps - eps * eps * (2.0 - eps_bar) - c * (eps + V0)
+        num = num[:, near]
         num[0] = cp * cp * eps_bar + eps * eps * (2.0 - eps_bar) + c * (eps + V0)
         num[1] = 2.0 * cp * rc * V0
-        amps = np.where(near, _cdiv(num, np.stack([kk, kk, eps_bar * kk, eps_bar * kk])), amps)
+        amps[:, near] = _cdiv(num, np.stack([kk, kk, eps_bar * kk, eps_bar * kk]))
     amps[1::2] = np.where(k.up, amps[1::2], -amps[1::2])
     return amps
 
@@ -311,7 +314,10 @@ def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         amps = _closed_forms(k)
         budget = _budget(k, amps[0], amps[1], amps[2])
-    values = (np.where(k.singular, np.nan, x).reshape(shape) for x in (*amps, *budget))
+    values = (*amps, *budget)
+    if k.singular.any():
+        values = (np.where(k.singular, np.nan, x) for x in values)
+    values = (x.reshape(shape) for x in values)
     return BatchAmplitudes(k.regime.reshape(shape), *values, k.singular.reshape(shape))
 
 
@@ -332,10 +338,12 @@ def spinor_table(k: Kinematics) -> np.ndarray:
     """Spinor coefficients of the five wave pieces, shape (N, 4, 5).
 
     The matching system's own layout: component i on the middle axis,
-    piece j on the last, so _boundary_solve scales and negates its
-    columns in one pass.  Spin-up pieces j = 0..4: incident (eps, 0, cp, rc),
-    R (eps, 0, -cp, rc), Rp (0, eps, rc, cp), T (eps_bar, 0, cq, rc) and
-    Tp (0, eps_bar, rc, -cq).  Component i multiplies the transverse
+    piece j on the last.  The table is the transpose of a C-contiguous
+    (5, 4, N) array, so table.T holds each piece's components with the
+    points contiguous and _boundary_solve scales and negates its columns
+    in place, one contiguous pass each.  Spin-up pieces j = 0..4:
+    incident (eps, 0, cp, rc), R (eps, 0, -cp, rc), Rp (0, eps, rc, cp),
+    T (eps_bar, 0, cq, rc) and Tp (0, eps_bar, rc, -cq).  Component i multiplies the transverse
     factor Phi_{n-1}, Phi_n, Phi_{n-1}, Phi_n.  Without normalization
     prefactors.
     """
@@ -347,27 +355,38 @@ def spinor_table(k: Kinematics) -> np.ndarray:
         [eps_bar, o, cq, rc], [o, eps_bar, rc, -cq],
     ], dtype=complex).reshape(5, 2, 2, eps.size)
     # spin-down is spin-up with cp, cq negated and components 1<->2, 3<->4
-    # swapped: each pair reversed, a view, so no second table is built
-    return np.where(k.up, pairs, pairs[:, :, ::-1]).reshape(5, 4, eps.size).T
+    # swapped: each pair of a spin-down point is reversed in place
+    down = ~k.up
+    if down.any():
+        pairs[..., down] = pairs[:, :, ::-1, down]
+    return pairs.reshape(5, 4, eps.size).T
 
 
 def _boundary_solve(k: Kinematics):
     """Oracle amplitudes (N, 4) = (R, Rp, T, Tp) and the mask of failed points."""
-    table, nl = spinor_table(k), k.nl
+    # piece j, component i, points contiguous: the columns are scaled in place
+    pieces, nl = spinor_table(k).T, k.nl
     with np.errstate(divide="ignore", invalid="ignore"):
         nr = 1.0 / np.sqrt(2.0 * np.abs(k.eps_bar * k.ebar))
+        rhs = -(pieces[0] * nl)
         # columns: the normalized pieces R, Rp, T, Tp; the transmitted ones enter negated
-        a = np.multiply(table[:, :, 1:], np.stack((nl, nl, nr, nr), axis=-1)[:, None], order="C")
-        np.negative(a[:, :, 2:], out=a[:, :, 2:])
-        rhs = -(table[:, :, 0] * nl[:, None])
+        cols = pieces[1:]
+        cols *= np.stack((nl, nl, nr, nr))[:, None]
+        np.negative(cols[2:], out=cols[2:])
         # unit-column scaling keeps the solve well conditioned for tall steps; a
         # degenerate normalization (E = V0 or V0 = E + 1 exactly) leaves nr and
         # so both transmitted columns non-finite
-        colnorm = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=-2))
-        failed = ~np.all(np.isfinite(colnorm), axis=-1) | np.any(colnorm == 0.0, axis=-1)
-        a /= colnorm[:, None, :]
-    a[failed] = np.eye(4)
-    rhs[failed] = 0.0
+        square = np.square(cols.view(float))
+        abs2 = square[..., 0::2]
+        abs2 += square[..., 1::2]
+        colnorm = np.sqrt(abs2.sum(axis=1))
+        del square, abs2  # not held through the solve: 100 MB at 400k points
+        failed = ~np.all(np.isfinite(colnorm), axis=0) | np.any(colnorm == 0.0, axis=0)
+        cols /= colnorm[:, None]
+    a, rhs = cols.T, rhs.T
+    if failed.any():
+        a[failed] = np.eye(4)
+        rhs[failed] = 0.0
     try:
         x = np.linalg.solve(a, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -378,7 +397,7 @@ def _boundary_solve(k: Kinematics):
             except np.linalg.LinAlgError:
                 failed[i] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        x /= colnorm
+        x /= colnorm.T
     failed |= ~np.all(np.isfinite(x.view(float)), axis=-1)
     return x, failed
 

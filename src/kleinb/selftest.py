@@ -47,11 +47,11 @@ def resolve_seed(seed: int | None = None) -> int:
 BLOCK_SIZE = 1024
 
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
-#: complex oracle solve dominates the memory: its spinor table, scaled
-#: matrices and right-hand sides peak at ~1.2 KiB per point (tracemalloc)
-#: and run(MAX_SELFTEST_POINTS) peaked at 501 MiB RSS and took about 1.6 s
-#: on a 2-core x86-64 host, about what a field grid at
-#: wavefield.MAX_GRID_POINTS takes.
+#: complex oracle solve dominates the memory: the grid and the spinor
+#: table the solve scales in place, with its right-hand sides and column
+#: norms, peak at ~0.9 KiB per point (tracemalloc), and
+#: run(MAX_SELFTEST_POINTS) peaked at 410 MiB RSS and took 1.1 to 1.4 s
+#: on a 2-core x86-64 host.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0
@@ -261,7 +261,8 @@ def check_spin_symmetry(grid: GridBatch, tol: float = 1e-14) -> CheckResult:
     each point's amplitudes against those of its mirrored spin."""
     g = grid[grid.n != 0]
     own = g.amps
-    mirror = amplitudes_batch(g.E, g.V0, g.b, g.n, np.where(g.spin == Spin.UP, Spin.DOWN, Spin.UP))
+    # the kinematics do not depend on the spin: the grid's own, with up flipped
+    mirror = _evaluate(g.kin._replace(up=~g.kin.up), (len(g),))
     diff = np.max(
         [np.abs(getattr(own, f) - getattr(mirror, f))
          for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")],

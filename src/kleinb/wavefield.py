@@ -175,8 +175,11 @@ def assemble_field(
 ) -> SpinorField:
     """Evaluate the full four-component wave on a (y, z) grid.
 
-    Defaults: y spans y0 +- 6 L (6 Compton lengths at b = 0), z spans
-    +- 10 de Broglie wavelengths of the incident wave, 512 x 512 points.
+    Defaults: y spans y0 +- (sqrt(2n + 1) + 6) L, six magnetic lengths
+    past the classical turning point sqrt(2n + 1) L of the level pair
+    (L = 1 Compton length at b = 0), so that the transverse integrals of
+    integrated_current are not truncated; z spans +- 10 de Broglie
+    wavelengths of the incident wave; 512 x 512 points.
     Explicit y, z arrays override the spans and the counts.  The guiding
     center is y0 = k_x L^2 (0 at b = 0).  Only the (4, ny) transverse
     factors and the (4, nz) longitudinal profile are computed; the
@@ -203,7 +206,8 @@ def assemble_field(
     if ny * nz > MAX_GRID_POINTS:
         raise GridTooLarge(f"grid of {ny} x {nz} points exceeds guard of {MAX_GRID_POINTS}")
     if y is None:
-        half = y_halfwidth if y_halfwidth is not None else 6.0 * length
+        half = y_halfwidth if y_halfwidth is not None else (
+            math.sqrt(2.0 * params.n + 1.0) + 6.0) * length
         if not (math.isfinite(half) and half > 0.0):
             raise ValueError(f"y halfwidth must be finite and > 0, got {half}")
         y = _axis("y", np.linspace(y0 - half, y0 + half, ny))

@@ -6,11 +6,12 @@ import shlex
 import numpy as np
 import pytest
 
+import kleinb.scattering
 import kleinb.selftest
 from kleinb import Spin, make_channel
 from kleinb.states import REGIMES
 from kleinb.cli import main
-from kleinb.scattering import _batch_kinematics, amplitudes_batch, solve_boundary_batch
+from kleinb.scattering import _batch_kinematics, _evaluate, amplitudes_batch, solve_boundary_batch
 from kleinb.selftest import (
     BLOCK_SIZE,
     MAX_SELFTEST_POINTS,
@@ -189,12 +190,12 @@ def test_oracle_on_kept_kinematics_matches_public_solve(monkeypatch, param_grid,
     assert len(scores) == 1 and np.array_equal(bits(scores[0]), bits(want))
 
 
-def _own_spin(E, V0, b, n, spin):
-    return amplitudes_batch(E, V0, b, n, np.where(spin == Spin.UP, Spin.DOWN, Spin.UP))
+def _own_spin(k, shape):
+    return _evaluate(k._replace(up=~k.up), shape)
 
 
-def _unsigned_flip(E, V0, b, n, spin):
-    a = amplitudes_batch(E, V0, b, n, spin)
+def _unsigned_flip(k, shape):
+    a = _evaluate(k, shape)
     return dataclasses.replace(a, Rp=-a.Rp, Tp=-a.Tp)
 
 
@@ -203,7 +204,7 @@ def test_spin_symmetry_catches_a_wrong_mirror(monkeypatch, param_grid, mirror):
     # a mirrored evaluation that returns the grid's own spin, or flip
     # amplitudes without the sign change, keeps every budget equal: only
     # the exact sign check can fail, at the first point with a flip
-    monkeypatch.setattr(kleinb.selftest, "amplitudes_batch", mirror)
+    monkeypatch.setattr(kleinb.selftest, "_evaluate", mirror)
     result = check_spin_symmetry(param_grid)
     assert not result.passed and result.line().startswith("FAIL")
     assert "max budget difference = 0.000e+00" in result.detail
@@ -211,3 +212,33 @@ def test_spin_symmetry_catches_a_wrong_mirror(monkeypatch, param_grid, mirror):
     g = param_grid[param_grid.n != 0]
     first_flip = int(np.argmax((g.amps.Rp != 0.0) | (g.amps.Tp != 0.0)))
     assert result.detail.endswith(f"worst point: {g.reproducer(first_flip)}")
+
+
+def test_spin_mirror_matches_public_evaluation(param_grid):
+    # the mirror evaluates the grid's kinematics with up flipped: bit for bit
+    # what amplitudes_batch gives for the mirrored spins
+    g = param_grid[param_grid.n != 0]
+    mirror = _evaluate(g.kin._replace(up=~g.kin.up), (len(g),))
+    want = amplitudes_batch(g.E, g.V0, g.b, g.n, np.where(g.spin == Spin.UP, Spin.DOWN, Spin.UP))
+    for f in dataclasses.fields(want):
+        x, y = getattr(mirror, f.name), getattr(want, f.name)
+        assert x.dtype == y.dtype and np.array_equal(bits(x), bits(y)), f.name
+
+
+def test_run_validates_and_solves_once(monkeypatch):
+    # one run validates the grid and the flip-scaling points, nothing else,
+    # and solves the 4x4 systems once
+    calls = {"_batch_kinematics": 0, "_boundary_solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(kleinb.scattering, name))
+        monkeypatch.setattr(kleinb.scattering, name, wrapper)
+        monkeypatch.setattr(kleinb.selftest, name, wrapper)
+    assert all(r.passed for r in run(1000, 1))
+    assert calls == {"_batch_kinematics": 2, "_boundary_solve": 1}

@@ -93,9 +93,10 @@ class TestAssembly:
     def test_default_grid_spans(self):
         p = make_channel(2.0, 1.0, 0.25, Spin.UP, 1)
         f = assemble_field(p, ny=33, nz=17)
-        length = p.field.magnetic_length
-        assert f.y[0] == pytest.approx(-6.0 * length)
-        assert f.y[-1] == pytest.approx(6.0 * length)
+        # six magnetic lengths past the turning point sqrt(2n + 1) L
+        half = (math.sqrt(3.0) + 6.0) * p.field.magnetic_length
+        assert f.y[0] == pytest.approx(-half)
+        assert f.y[-1] == pytest.approx(half)
         lam = 2.0 * math.pi / math.sqrt(p.E ** 2 - 1.0 - p.C)
         assert f.z[0] == pytest.approx(-10.0 * lam)
 
@@ -104,7 +105,7 @@ class TestAssembly:
         f = assemble_field(p, ny=33, nz=9, k_x=0.5)
         length = p.field.magnetic_length
         assert f.y0 == pytest.approx(0.5 * length ** 2)
-        assert f.y[0] == pytest.approx(f.y0 - 6.0 * length)
+        assert f.y[0] == pytest.approx(f.y0 - (math.sqrt(3.0) + 6.0) * length)
 
     def test_density_nonnegative(self):
         p = make_channel(2.0, 6.0, 0.2, Spin.UP, 1)
@@ -358,6 +359,22 @@ class TestCurrent:
         b = current_budget(p)
         assert np.abs(left - (1.0 - b.refl_same - b.refl_flip)).max() < 1e-8
         assert np.abs(right - (b.trans_same + b.trans_flip)).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [18, 60])
+    def test_default_grid_conserves_current(self, n):
+        # from n = 18 on the turning point sqrt(2n + 1) L lies past 6 L: a
+        # grid that stops there truncates the transverse integrals
+        p = make_channel(3.0, 1.0, 0.01, Spin.DOWN, n)
+        f = assemble_field(p, ny=2048, nz=64)
+        # incident current from the incident wave alone, on the same y grid
+        zero = ScatterAmplitudes(R=0j, Rp=0j, T=0j, Tp=0j, regime=f.amps.regime)
+        v = assemble_field(p, amps=zero, y=f.y, z=np.array([-1.0])).values[:, :, 0]
+        jz = 2.0 * np.real(np.conj(v[0]) * v[2]) - 2.0 * np.real(np.conj(v[1]) * v[3])
+        j = integrated_current(f) / np.trapezoid(jz, f.y)
+        b = current_budget(p)
+        left = f.z < 0.0
+        assert np.abs(j[left] - (1.0 - b.refl_same - b.refl_flip)).max() < 1e-8
+        assert np.abs(j[~left] - (b.trans_same + b.trans_flip)).max() < 1e-8
 
     def test_current_is_z_independent(self):
         p = make_channel(2.0, 6.0, 0.2, Spin.UP, 1)
