@@ -252,8 +252,8 @@ def cmd_sweep(args) -> int:
     if args.count is None:
         args.count = 51
     axis = args.axis
-    if axis is None:
-        raise ValueError("sweep needs --axis (E, V0, b, or n)")
+    if axis not in ("E", "V0", "b", "n"):  # the --axis choices; a config file may give any
+        raise ValueError(f"sweep needs --axis (E, V0, b, or n), got {axis!r}")
     fixed = {"E": args.E, "V0": args.V0, "b": args.b, "n": args.n, "spin": args.spin}
     missing = [k for k, v in fixed.items() if v is None and k != axis]
     if missing:

@@ -373,16 +373,8 @@ def _boundary_solve(k: Kinematics):
         cols = pieces[1:]
         cols *= np.stack((nl, nl, nr, nr))[:, None]
         np.negative(cols[2:], out=cols[2:])
-        # unit-column scaling keeps the solve well conditioned for tall steps; a
-        # degenerate normalization (E = V0 or V0 = E + 1 exactly) leaves nr and
-        # so both transmitted columns non-finite
-        square = np.square(cols.view(float))
-        abs2 = square[..., 0::2]
-        abs2 += square[..., 1::2]
-        colnorm = np.sqrt(abs2.sum(axis=1))
-        del square, abs2  # not held through the solve: 100 MB at 400k points
-        failed = ~np.all(np.isfinite(colnorm), axis=0) | np.any(colnorm == 0.0, axis=0)
-        cols /= colnorm[:, None]
+    # not rescaled: partial pivoting ignores column scaling, and nl, nr set each column's scale
+    failed = ~np.all(np.isfinite(cols), axis=(0, 1))  # nr degenerates: E = V0 or V0 = E + 1
     a, rhs = cols.T, rhs.T
     if failed.any():
         a[failed] = np.eye(4)
@@ -396,8 +388,6 @@ def _boundary_solve(k: Kinematics):
                 x[i] = np.linalg.solve(a[i], rhs[i])
             except np.linalg.LinAlgError:
                 failed[i] = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x /= colnorm.T
     failed |= ~np.all(np.isfinite(x.view(float)), axis=-1)
     return x, failed
 

@@ -48,10 +48,9 @@ BLOCK_SIZE = 1024
 
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
 #: complex oracle solve dominates the memory: the grid and the spinor
-#: table the solve scales in place, with its right-hand sides and column
-#: norms, peak at ~0.9 KiB per point (tracemalloc), and
-#: run(MAX_SELFTEST_POINTS) peaked at 410 MiB RSS and took 1.1 to 1.4 s
-#: on a 2-core x86-64 host.
+#: table the solve scales in place, with its right-hand sides, peak at
+#: ~0.75 KiB per point (tracemalloc), and run(MAX_SELFTEST_POINTS)
+#: peaked at 343 MiB RSS and took 1.0 to 1.4 s on a 2-core x86-64 host.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0

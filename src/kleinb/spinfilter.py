@@ -65,6 +65,8 @@ class FilterSetup:
             raise ValueError(f"g-factor must be finite, got {self.g}")
         if not (math.isfinite(self.distance) and self.distance >= 0.0):
             raise ValueError(f"flight distance must be >= 0, got {self.distance}")
+        if not isinstance(self.branch, Branch):
+            raise ValueError(f"branch must be a Branch member, got {self.branch!r}")
         if self.branch is Branch.TRANSMITTED and self.V0 is None:
             raise ValueError("transmitted branch requires V0")
 
@@ -73,7 +75,7 @@ def _open_pair(setup: FilterSetup) -> tuple[float, float, float]:
     """(cp_up, cp_down, |x|) on the setup's branch, x = E (reflected) or
     E - V0 (transmitted), as split_momenta describes."""
     V0 = setup.V0 if setup.branch is Branch.TRANSMITTED else 0.0
-    base = momentum_sq(setup.E, V0, FieldStrength(setup.b).c_n(setup.n))
+    base = momentum_sq(setup.E, V0, 2.0 * setup.b * setup.n)
     # the split is symmetric, so g = 2 gives bit-identical momenta
     shift = 0.5 * (setup.g - 2.0) * setup.b
     up_sq, down_sq = base - shift, base + shift

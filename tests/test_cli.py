@@ -232,6 +232,8 @@ class TestSweep:
         ("axis = V0\nstart 0\n", "{path}:2: expected 'key = value', got 'start 0\\n'"),
         ("axis = V0\nspeed = 3\ncolour = red\n", "unknown config key(s): colour, speed"),
         ("axis = V0\nvalues =\nE = 2\nb = 0.1\nn = 1\nspin = up\n", EMPTY_VALUES),
+        ("axis = X\nvalues = 1,2\nE = 2\nV0 = 1\nb = 0.1\nn = 1\nspin = up\n",
+         "sweep needs --axis (E, V0, b, or n), got 'X'"),
     ])
     def test_bad_config_file_exit(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "sweep.cfg"

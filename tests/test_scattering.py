@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from kleinb import (
     solve_boundary_system,
 )
 from kleinb.scattering import kinematics, point_kinematics, spinor_table
-from kleinb.selftest import amplitude_deviation, sample_grid
+from kleinb.selftest import _deviation, amplitude_deviation, sample_grid
 from kleinb.states import EVANESCENT, REGIMES, channel_valid
 
 
@@ -161,9 +162,63 @@ class TestBoundarySolve:
         assert worst < 1e-12
 
     def test_degenerate_normalization_reported(self):
-        # E = V0 exactly: the transmitted spinor cannot be normalized
+        # E = V0 or V0 = E + 1 exactly: the transmitted spinor cannot be normalized
         with pytest.raises(SingularMatrix):
             solve_boundary_system(make_channel(2.0, 2.0, 0.0, Spin.DOWN, 0))
+        with pytest.raises(SingularMatrix):
+            solve_boundary_system(make_channel(2.0, 3.0, 0.1, Spin.UP, 1))
+
+    def test_matches_extended_precision_solve(self, seed):
+        E, V0, b, n, up = oracle_strata(np.random.default_rng([seed, 17]), 40)
+        solved, failed = solve_boundary_batch(E, V0, b, n, np.where(up, "up", "down"))
+        exact = np.array([boundary_reference(*point) for point in zip(E, V0, b, n, up)])
+        assert not failed.any()
+        assert _deviation(exact.T, solved.T).max() < 1e-14
+
+
+def oracle_strata(rng, size):
+    """Seeded channels, n in 1..20 and both spins, E >= 1.1 M_n, in three
+    strata of `size` points: the bulk, 5 % or more off the regime
+    thresholds and the singular slice; tall steps, V0 = 1e2..1e50; and E
+    within 1e-15 to 1e-3 (relative) of V0.  Arrays (E, V0, b, n, up)."""
+    draws = 10 * size
+    n = rng.integers(1, 21, draws)
+    up = rng.random(draws) < 0.5
+    b = rng.uniform(0.0, 1.0, draws)
+    m = np.sqrt(1.0 + 2.0 * b * n)
+    E = m * (1.0 + 10.0 ** rng.uniform(-1.0, 0.7, draws))
+    V0 = E * 10.0 ** rng.uniform(-2.0, 1.0, draws)
+    bulk = (np.abs(np.abs(E - V0) - m) > 0.05 * m) & (np.abs(E + 1.0 - V0) > 0.05 * (1.0 + V0))
+    E, V0, b, n, up = (np.concatenate([x[bulk][:size], x[:2 * size]]) for x in (E, V0, b, n, up))
+    near = 1.0 + rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-15.0, -3.0, size)
+    V0[size:] = np.concatenate([10.0 ** rng.uniform(2.0, 50.0, size), E[2 * size:] * near])
+    assert E.size == 3 * size and up.any() and not up.all()
+    return E, V0, b, n, up
+
+
+def boundary_reference(E, V0, b, n, up):
+    """(R, Rp, T, Tp) of the normalized 4x4 matching system solved at 50
+    digits, the float inputs taken as exact: the piece vectors of the
+    spinor_table docstring (spin-down mirrored), times nl and -nr."""
+    with mpmath.workdps(50):
+        E, V0, b, n = (mpmath.mpf(float(x)) for x in (E, V0, b, n))
+        C = 2 * b * n
+        eps, eps_bar, rc = E + 1, E + 1 - V0, mpmath.sqrt(C)
+        cp = mpmath.sqrt(E * E - 1 - C)
+        q2 = (E - V0) ** 2 - 1 - C
+        cq = mpmath.sign(E - V0) * mpmath.sqrt(q2) if q2 > 0 else 1j * mpmath.sqrt(-q2)
+        sign = 1 if up else -1
+        cp, cq = sign * cp, sign * cq
+        pieces = [(eps, 0, cp, rc), (eps, 0, -cp, rc), (0, eps, rc, cp),
+                  (eps_bar, 0, cq, rc), (0, eps_bar, rc, -cq)]
+        if not up:
+            pieces = [(p[1], p[0], p[3], p[2]) for p in pieces]
+        nl = 1 / mpmath.sqrt(2 * eps * E)
+        nr = 1 / mpmath.sqrt(2 * abs(eps_bar * (E - V0)))
+        norms = (nl, nl, -nr, -nr)
+        a = mpmath.matrix([[pieces[j + 1][i] * norms[j] for j in range(4)] for i in range(4)])
+        x = mpmath.lu_solve(a, mpmath.matrix([-nl * c for c in pieces[0]]))
+        return [complex(v) for v in x]
 
 
 class TestSpinorTable:

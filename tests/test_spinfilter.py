@@ -53,6 +53,12 @@ class TestSplitMomenta:
         with pytest.raises(ValueError):
             FilterSetup(E=2.0, n=1, b=0.1, branch=Branch.TRANSMITTED)  # V0 missing
 
+    @pytest.mark.parametrize("branch", ["transmitted", None])
+    def test_branch_must_be_a_member(self, branch):
+        # not computed as the reflected branch
+        with pytest.raises(ValueError, match=f"branch must be a Branch member, got {branch!r}"):
+            setup(branch=branch, V0=1.0)
+
     @pytest.mark.parametrize("branch", list(Branch))
     def test_negative_step_rejected(self, branch):
         # the same rule and message as make_channel
