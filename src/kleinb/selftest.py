@@ -5,9 +5,11 @@ three regimes, both spins, n up to 20 and b up to 1, as arrays, and
 checks the core identities over the whole grid at once: current
 conservation, agreement of the closed forms with the boundary-condition
 solve, the field-free reduction, the no-flip anchors, and the up/down
-symmetry of the budgets.  A failing check names its worst point as a
-`kleinb amps` command line.  The seed comes from the KLEINB_SEED
-environment variable unless given explicitly.
+symmetry of the budgets.  The grid, the spin mirror of its first tenth
+and the flip-scaling family are validated and evaluated as one batch,
+once per run.  A failing check names its worst point as a `kleinb amps`
+command line.  The seed comes from the KLEINB_SEED environment variable
+unless given explicitly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .scattering import (
     _boundary_solve,
     _evaluate,
     amplitudes,
-    amplitudes_batch,
     solve_boundary_system,
 )
 from .states import EVANESCENT, ChannelParams, Spin, make_channel
@@ -35,11 +36,25 @@ SEED_ENV_VAR = "KLEINB_SEED"
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    """Explicit seed, else KLEINB_SEED from the environment, else default."""
+    """Explicit seed, else KLEINB_SEED from the environment, else default.
+
+    An empty KLEINB_SEED means the default.  Raises ValueError, naming
+    the source and its value, unless the seed is a non-negative integer.
+    """
     if seed is not None:
-        return int(seed)
+        if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+            return int(seed)
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
+    return value
 
 
 #: Candidate points drawn per block by sample_grid.  Fixed, so that the
@@ -47,10 +62,11 @@ def resolve_seed(seed: int | None = None) -> int:
 BLOCK_SIZE = 1024
 
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
-#: complex oracle solve dominates the memory: the grid and the spinor
-#: table the solve scales in place, with its right-hand sides, peak at
-#: ~0.75 KiB per point (tracemalloc), and run(MAX_SELFTEST_POINTS)
-#: peaked at 343 MiB RSS and took 1.0 to 1.4 s on a 2-core x86-64 host.
+#: complex oracle solve dominates the memory: the grid, with the spin
+#: mirror of its first tenth evaluated in its batch, and the spinor table
+#: the solve scales in place, with its right-hand sides, peak at ~0.75 KiB
+#: per point (tracemalloc), and run(MAX_SELFTEST_POINTS) peaked at
+#: 350 MiB RSS and took 1.3 to 2.1 s on a 2-core x86-64 host.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0
@@ -90,27 +106,47 @@ def sample_params(rng: np.random.Generator, n_max: int = 20) -> ChannelParams:
             return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, int(n[0]))
 
 
-def sample_grid(points: int, seed: int | None = None) -> GridBatch:
-    """The seeded grid of `points` random open channels, with their
-    validated kinematics and closed-form amplitudes.
-
-    Candidates are drawn in blocks of BLOCK_SIZE (see _draw_block) and
-    the first `points` kept ones form the grid.  Raises ValueError
-    unless 1 <= points <= MAX_SELFTEST_POINTS.
-    """
-    if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
-        raise ValueError(f"selftest points must be an integer, got {points!r}")
-    if not 1 <= points <= MAX_SELFTEST_POINTS:
-        raise ValueError(f"selftest points must be in [1, {MAX_SELFTEST_POINTS}], got {points}")
+def _suite_points(points: int, seed: int | None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Columns (E, V0, b, n, up) of the points one run evaluates, and the
+    grid indices of the mirrored points: the seeded grid, the spin mirror
+    of its first tenth's points with n != 0, and the flip family, in
+    that order (see SampledGrid).  Apart from sample_grid so that the
+    drawn blocks are freed before the batch is evaluated."""
     rng = np.random.default_rng(resolve_seed(seed))
     blocks, kept = [], 0
     while kept < points:
         blocks.append(_draw_block(rng, BLOCK_SIZE))
         kept += blocks[-1][0].size
-    E, V0, b, n, up = (np.concatenate(col)[:points] for col in zip(*blocks))
+    E, V0, b, n, up = (np.concatenate(col) for col in zip(*blocks))
+    pairs = np.flatnonzero(n[: max(1, points // 10)])
+    grid = (E[:points], V0[:points], b[:points], n[:points], up[:points])
+    mirror = (E[pairs], V0[pairs], b[pairs], n[pairs], ~up[pairs])
+    family = (2.0, 6.0, np.logspace(-8, -4, 9), 1, True)
+    columns = tuple(np.concatenate((g, m, np.full(9, f))) for g, m, f in zip(grid, mirror, family))
+    return columns, pairs
+
+
+def sample_grid(points: int, seed: int | None = None) -> SampledGrid:
+    """The seeded grid of `points` random open channels, with their
+    validated kinematics and closed-form amplitudes, and the points the
+    suite checks beside it (see SampledGrid).
+
+    Candidates are drawn in blocks of BLOCK_SIZE (see _draw_block) and
+    the first `points` kept ones form the grid.  The grid and the points
+    beside it are validated and evaluated as one batch.  Raises
+    ValueError unless 1 <= points <= MAX_SELFTEST_POINTS.
+    """
+    if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
+        raise ValueError(f"selftest points must be an integer, got {points!r}")
+    if not 1 <= points <= MAX_SELFTEST_POINTS:
+        raise ValueError(f"selftest points must be in [1, {MAX_SELFTEST_POINTS}], got {points}")
+    (E, V0, b, n, up), pairs = _suite_points(points, seed)
     spin = np.where(up, Spin.UP, Spin.DOWN)
     k, shape = _batch_kinematics(E, V0, b, n, spin)
-    return GridBatch(E, V0, b, n, spin, _evaluate(k, shape), k)
+    batch = GridBatch(E, V0, b, n, spin, _evaluate(k, shape), k)
+    mirrored = points + pairs.size
+    return SampledGrid(**vars(batch[:points]), pairs=pairs,
+                       mirror=batch[points:mirrored].amps, family=batch[mirrored:])
 
 
 @dataclass
@@ -159,11 +195,30 @@ class GridBatch:
                 f"--b {float(self.b[i])!r} --n {int(self.n[i])} --spin {self.spin[i].value}")
 
 
-def _result(name: str, passed: bool, detail: str, grid: GridBatch, score) -> CheckResult:
+@dataclass(frozen=True)
+class SampledGrid(GridBatch):
+    """The seeded grid of sample_grid, with the points the suite checks
+    beside it, evaluated in one batch with the grid.
+
+    The grid's arrays are views of that batch.  pairs holds the grid
+    indices of the first tenth's (max(1, points // 10)) points with
+    n != 0, and mirror their amplitudes with the spin flipped.  family
+    is the flip-scaling family: E = 2, V0 = 6, b = logspace(-8, -4, 9),
+    (up, n = 1).  Sub-grids are plain GridBatch.
+    """
+
+    pairs: np.ndarray
+    mirror: BatchAmplitudes
+    family: GridBatch
+
+
+def _result(name: str, passed: bool, detail: str, grid: GridBatch, at, score) -> CheckResult:
     """Check result; a failure names its worst point, the arg-max of the
-    per-point score."""
-    if not passed and len(grid):
-        detail += f"; worst point: {grid.reproducer(int(np.argmax(score)))}"
+    per-point score.  The score covers the grid points indexed by `at`,
+    or the whole grid if `at` is None."""
+    if not passed and np.size(score):
+        i = int(np.argmax(score))
+        detail += f"; worst point: {grid.reproducer(i if at is None else int(at[i]))}"
     return CheckResult(name, passed, detail)
 
 
@@ -188,7 +243,7 @@ def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     worst = float(residual.max(initial=0.0))
     return _result(
         "current conservation", worst < tol,
-        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})", grid, residual,
+        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})", grid, None, residual,
     )
 
 
@@ -203,86 +258,86 @@ def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     return _result(
         "boundary-solve agreement", worst < tol,
         f"max component deviation = {worst:.3e} over {len(grid)} points (tol {tol:g})",
-        grid, deviation,
+        grid, None, deviation,
     )
 
 
 def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     """b = 0: flips vanish exactly, R matches the kappa closed form,
     and the evanescent regime reflects totally."""
-    g = grid[grid.b == 0.0]
-    a = g.amps
-    flipped = (a.Rp != 0.0) | (a.Tp != 0.0)
+    at = np.flatnonzero(grid.b == 0.0)
+    a = grid.amps
+    R = a.R[at]
+    flipped = (a.Rp[at] != 0.0) | (a.Tp[at] != 0.0)
     # independent route for the amplitude algebra: R = (1 - kappa)/(1 + kappa).
     # The momenta are the grid's, landau's at C = 0 (checked against 60-digit
     # references in the test suite); a float re-derivation would cancel near
     # |E - V0| = 1 and be less accurate than the value it checks.
-    cp, cq = g.kin.cp, g.kin.cq
-    kappa = cq * (g.E + 1.0) / (cp * (g.E + 1.0 - g.V0))
-    err_r = np.abs(a.R - (1.0 - kappa) / (1.0 + kappa))
-    err_total = np.where(a.regime == EVANESCENT, np.abs(np.abs(a.R) ** 2 - 1.0), 0.0)
+    eps = grid.E[at] + 1.0
+    kappa = grid.kin.cq[at] * eps / (grid.kin.cp[at] * (eps - grid.V0[at]))
+    err_r = np.abs(R - (1.0 - kappa) / (1.0 + kappa))
+    err_total = np.where(a.regime[at] == EVANESCENT, np.abs(np.abs(R) ** 2 - 1.0), 0.0)
     flips_zero = not flipped.any()
     worst_r = float(err_r.max(initial=0.0))
     worst_total = float(err_total.max(initial=0.0))
     ok = flips_zero and worst_r < tol and worst_total < 1e-14
     return _result(
         "field-free reduction", ok,
-        f"{len(g)} points: flips exactly zero = {flips_zero}, "
+        f"{at.size} points: flips exactly zero = {flips_zero}, "
         f"max |R - (1-k)/(1+k)| = {worst_r:.3e}, max ||R|^2 - 1| (evanescent) = {worst_total:.3e}",
-        g, np.where(flipped, np.inf, np.maximum(err_r / tol, err_total / 1e-14)),
+        grid, at, np.where(flipped, np.inf, np.maximum(err_r / tol, err_total / 1e-14)),
     )
 
 
 def check_lowest_state_noflip(grid: GridBatch) -> CheckResult:
     """(down, n = 0) never produces flip amplitudes, for any E, V0, b."""
-    g = grid[grid.n == 0]
-    flip = np.abs(g.amps.Rp) + np.abs(g.amps.Tp)
+    at = np.flatnonzero(grid.n == 0)
+    flip = np.abs(grid.amps.Rp[at]) + np.abs(grid.amps.Tp[at])
     return _result(
         "lowest-state no-flip", not flip.any(),
-        f"flip amplitudes exactly zero at all {len(g)} n = 0 points", g, flip,
+        f"flip amplitudes exactly zero at all {at.size} n = 0 points", grid, at, flip,
     )
 
 
-def check_flip_scaling() -> CheckResult:
-    """|Rp| scales as b^(1/2) as b -> 0 (log-log slope 0.5) at E = 2,
-    V0 = 6, (up, n = 1)."""
-    bs = np.logspace(-8, -4, 9)
-    mags = np.abs(amplitudes_batch(2.0, 6.0, bs, 1, Spin.UP).Rp)
-    slope = float(np.polyfit(np.log(bs), np.log(mags), 1)[0])
+def check_flip_scaling(family: GridBatch) -> CheckResult:
+    """|Rp| scales as b^(1/2) as b -> 0 (log-log slope 0.5) on the flip
+    family of sample_grid: E = 2, V0 = 6, (up, n = 1), b from 1e-8 to 1e-4."""
+    x = np.log(family.b)
+    x -= x.mean()
+    # least-squares slope of log|Rp| against log b
+    slope = float(x @ np.log(np.abs(family.amps.Rp)) / (x @ x))
     return CheckResult(
         "flip-amplitude field scaling", abs(slope - 0.5) < 0.01,
         f"log-log slope = {slope:.6f} (want 0.5 +- 0.01)",
     )
 
 
-def check_spin_symmetry(grid: GridBatch, tol: float = 1e-14) -> CheckResult:
+def check_spin_symmetry(grid: SampledGrid, tol: float = 1e-14) -> CheckResult:
     """(up, n) and (down, n) give identical budgets and opposite flip signs:
-    each point's amplitudes against those of its mirrored spin."""
-    g = grid[grid.n != 0]
-    own = g.amps
-    # the kinematics do not depend on the spin: the grid's own, with up flipped
-    mirror = _evaluate(g.kin._replace(up=~g.kin.up), (len(g),))
+    the amplitudes of each mirrored grid point against its spin mirror."""
+    at, own, mirror = grid.pairs, grid.amps, grid.mirror
     diff = np.max(
-        [np.abs(getattr(own, f) - getattr(mirror, f))
+        [np.abs(getattr(own, f)[at] - getattr(mirror, f))
          for f in ("refl_same", "refl_flip", "trans_same", "trans_flip")],
         axis=0, initial=0.0,
     )
-    exact = ((mirror.Rp == -own.Rp) & (mirror.Tp == -own.Tp)
-             & (mirror.R == own.R) & (mirror.T == own.T))
+    exact = ((mirror.Rp == -own.Rp[at]) & (mirror.Tp == -own.Tp[at])
+             & (mirror.R == own.R[at]) & (mirror.T == own.T[at]))
     worst = float(diff.max(initial=0.0))
     signs_ok = bool(exact.all())
     return _result(
         "up/down symmetry", worst < tol and signs_ok,
-        f"max budget difference = {worst:.3e} over {len(g)} pairs, exact sign flip = {signs_ok}",
-        g, np.where(exact, diff, np.inf),
+        f"max budget difference = {worst:.3e} over {at.size} pairs, exact sign flip = {signs_ok}",
+        grid, at, np.where(exact, diff, np.inf),
     )
 
 
 def run(points: int = 10000, seed: int | None = None) -> list[CheckResult]:
     """Run the full seeded suite; returns one result per check.
 
-    Raises ValueError unless 1 <= points <= MAX_SELFTEST_POINTS (checked
-    by sample_grid before any array is built).
+    One sample_grid call validates and evaluates every point the checks
+    read.  Raises ValueError unless 1 <= points <= MAX_SELFTEST_POINTS
+    (checked by sample_grid before any array is built).
     """
     grid = sample_grid(points, seed)
     return [
@@ -290,6 +345,6 @@ def run(points: int = 10000, seed: int | None = None) -> list[CheckResult]:
         check_oracle(grid),
         check_field_free(grid),
         check_lowest_state_noflip(grid),
-        check_flip_scaling(),
-        check_spin_symmetry(grid[: max(1, points // 10)]),
+        check_flip_scaling(grid.family),
+        check_spin_symmetry(grid),
     ]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import shlex
 
 import numpy as np
@@ -14,10 +15,16 @@ from kleinb.cli import main
 from kleinb.scattering import _batch_kinematics, _evaluate, amplitudes_batch, solve_boundary_batch
 from kleinb.selftest import (
     BLOCK_SIZE,
+    DEFAULT_SEED,
     MAX_SELFTEST_POINTS,
+    SEED_ENV_VAR,
+    CheckResult,
+    check_field_free,
+    check_lowest_state_noflip,
     check_oracle,
     check_spin_symmetry,
     check_unitarity,
+    resolve_seed,
     run,
     sample_grid,
     sample_params,
@@ -190,45 +197,115 @@ def test_oracle_on_kept_kinematics_matches_public_solve(monkeypatch, param_grid,
     assert len(scores) == 1 and np.array_equal(bits(scores[0]), bits(want))
 
 
-def _own_spin(k, shape):
-    return _evaluate(k._replace(up=~k.up), shape)
+def _own_spin(rows):
+    """_evaluate that gives the mirror rows the grid's own spin."""
+    def evaluate(k, shape):
+        up = k.up.copy()
+        up[rows] = ~up[rows]
+        return _evaluate(k._replace(up=up), shape)
+    return evaluate
 
 
-def _unsigned_flip(k, shape):
-    a = _evaluate(k, shape)
-    return dataclasses.replace(a, Rp=-a.Rp, Tp=-a.Tp)
+def _unsigned_flip(rows):
+    """_evaluate that gives the mirror rows flip amplitudes without the sign change."""
+    def evaluate(k, shape):
+        a = _evaluate(k, shape)
+        for x in (a.Rp, a.Tp):
+            x[rows] = -x[rows]
+        return a
+    return evaluate
 
 
 @pytest.mark.parametrize("mirror", [_own_spin, _unsigned_flip])
-def test_spin_symmetry_catches_a_wrong_mirror(monkeypatch, param_grid, mirror):
-    # a mirrored evaluation that returns the grid's own spin, or flip
-    # amplitudes without the sign change, keeps every budget equal: only
-    # the exact sign check can fail, at the first point with a flip
-    monkeypatch.setattr(kleinb.selftest, "_evaluate", mirror)
-    result = check_spin_symmetry(param_grid)
+def test_spin_symmetry_catches_a_wrong_mirror(monkeypatch, seed, param_grid, mirror):
+    # sample_grid evaluates the spin mirror in one batch with the grid, in
+    # the rows after the grid's.  A mirror evaluated with the grid's own
+    # spin, or with flip amplitudes without the sign change, keeps every
+    # budget equal: only the exact sign check can fail, at the first pair
+    # with a flip
+    points = len(param_grid)
+    monkeypatch.setattr(kleinb.selftest, "_evaluate",
+                        mirror(slice(points, points + param_grid.pairs.size)))
+    grid = sample_grid(points, seed)
+    result = check_spin_symmetry(grid)
     assert not result.passed and result.line().startswith("FAIL")
     assert "max budget difference = 0.000e+00" in result.detail
     assert "exact sign flip = False" in result.detail
-    g = param_grid[param_grid.n != 0]
-    first_flip = int(np.argmax((g.amps.Rp != 0.0) | (g.amps.Tp != 0.0)))
-    assert result.detail.endswith(f"worst point: {g.reproducer(first_flip)}")
+    at = grid.pairs
+    first_flip = int(at[np.argmax((grid.amps.Rp[at] != 0.0) | (grid.amps.Tp[at] != 0.0))])
+    assert result.detail.endswith(f"worst point: {grid.reproducer(first_flip)}")
 
 
-def test_spin_mirror_matches_public_evaluation(param_grid):
-    # the mirror evaluates the grid's kinematics with up flipped: bit for bit
-    # what amplitudes_batch gives for the mirrored spins
-    g = param_grid[param_grid.n != 0]
-    mirror = _evaluate(g.kin._replace(up=~g.kin.up), (len(g),))
-    want = amplitudes_batch(g.E, g.V0, g.b, g.n, np.where(g.spin == Spin.UP, Spin.DOWN, Spin.UP))
+def mirrored_spins(grid):
+    return np.where(grid.spin == Spin.UP, Spin.DOWN, Spin.UP)
+
+
+def assert_same_bits(got, want):
     for f in dataclasses.fields(want):
-        x, y = getattr(mirror, f.name), getattr(want, f.name)
+        x, y = getattr(got, f.name), getattr(want, f.name)
         assert x.dtype == y.dtype and np.array_equal(bits(x), bits(y)), f.name
 
 
+def test_spin_mirror_matches_public_evaluation(param_grid):
+    # the mirror is evaluated in the grid's batch with up flipped: bit for
+    # bit what amplitudes_batch gives for the mirrored spins
+    g = param_grid[param_grid.pairs]
+    assert_same_bits(param_grid.mirror, amplitudes_batch(g.E, g.V0, g.b, g.n, mirrored_spins(g)))
+
+
+def owners(grid):
+    """The arrays that own the memory of each array of the grid."""
+    a = grid.amps
+    arrays = (*grid_arrays(grid), *grid.kin, *(getattr(a, f.name) for f in dataclasses.fields(a)))
+    return [x.base for x in arrays]
+
+
+def standalone_lines(points, seed):
+    """run(points, seed) by the route that evaluates the spin mirror and
+    the flip family on their own, through amplitudes_batch, fits the flip
+    slope with np.polyfit and checks copied sub-grids of the field-free
+    and n = 0 points; with the mirror and the family it evaluated."""
+    grid = sample_grid(points, seed)
+    pairs = np.flatnonzero(grid.n[: max(1, points // 10)] != 0)
+    g = grid[pairs]
+    mirror = amplitudes_batch(g.E, g.V0, g.b, g.n, mirrored_spins(g))
+    bs = np.logspace(-8, -4, 9)
+    family = amplitudes_batch(2.0, 6.0, bs, 1, "up")
+    slope = float(np.polyfit(np.log(bs), np.log(np.abs(family.Rp)), 1)[0])
+    results = [
+        check_unitarity(grid),
+        check_oracle(grid),
+        check_field_free(grid[grid.b == 0.0]),
+        check_lowest_state_noflip(grid[grid.n == 0]),
+        CheckResult("flip-amplitude field scaling", abs(slope - 0.5) < 0.01,
+                    f"log-log slope = {slope:.6f} (want 0.5 +- 0.01)"),
+        check_spin_symmetry(dataclasses.replace(grid, pairs=pairs, mirror=mirror)),
+    ]
+    return [r.line() for r in results], mirror, family
+
+
+@pytest.mark.parametrize("grid_seed, points", [
+    *((s, p) for s in (1, 2, 3) for p in (1, 9, 10, 11, 1000, 3 * BLOCK_SIZE + 5)),
+    (23, 1), (23, 11),  # the first point has n = 0: no pairs
+])
+def test_one_batch_changes_no_bit(grid_seed, points):
+    # run() evaluates the grid, its spin mirror and the flip family in one
+    # batch; every line and every mirror and family amplitude is that of
+    # the standalone evaluations
+    lines, mirror, family = standalone_lines(points, grid_seed)
+    assert [r.line() for r in run(points, grid_seed)] == lines
+    grid = sample_grid(points, grid_seed)
+    assert_same_bits(grid.mirror, mirror)
+    assert_same_bits(grid.family.amps, family)
+    assert ("over 0 pairs" in lines[-1]) == (grid_seed == 23)
+    # the grid's arrays are views of the batch's, not copies
+    assert all(x is not None and x is y for x, y in zip(owners(grid), owners(grid.family)))
+
+
 def test_run_validates_and_solves_once(monkeypatch):
-    # one run validates the grid and the flip-scaling points, nothing else,
-    # and solves the 4x4 systems once
-    calls = {"_batch_kinematics": 0, "_boundary_solve": 0}
+    # one run validates and evaluates the grid, its spin mirror and the flip
+    # family as one batch, and solves the 4x4 systems once
+    calls = {"_batch_kinematics": 0, "_evaluate": 0, "_boundary_solve": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -241,4 +318,31 @@ def test_run_validates_and_solves_once(monkeypatch):
         monkeypatch.setattr(kleinb.scattering, name, wrapper)
         monkeypatch.setattr(kleinb.selftest, name, wrapper)
     assert all(r.passed for r in run(1000, 1))
-    assert calls == {"_batch_kinematics": 2, "_boundary_solve": 1}
+    assert calls == {"_batch_kinematics": 1, "_evaluate": 1, "_boundary_solve": 1}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("env, want", [("", DEFAULT_SEED), (" 7 ", 7), ("0", 0)])
+    def test_env_seed(self, monkeypatch, env, want):
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+        assert resolve_seed() == want
+        assert resolve_seed(np.int64(5)) == 5
+
+    @pytest.mark.parametrize("env", ["abc", "-5", "1.5", " "])
+    def test_bad_env_seed_named(self, monkeypatch, capsys, env):
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+        assert main(["selftest", "--points", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ValueError: KLEINB_SEED must be a non-negative integer, got {env!r}\n"
+
+    def test_bad_seed_argument_named(self, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")  # an explicit seed is used before the environment
+        assert main(["selftest", "--points", "10", "--seed", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ValueError: seed must be a non-negative integer, got -3\n"
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7", np.int64(-2)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be a non-negative integer, got {seed!r}')}$"):
+            resolve_seed(seed)
