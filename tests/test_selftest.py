@@ -323,7 +323,7 @@ def test_run_validates_and_solves_once(monkeypatch):
 
 class TestSeed:
     @pytest.mark.parametrize("env, want", [("", DEFAULT_SEED), (" 7 ", 7), ("0", 0)])
-    def test_env_seed(self, monkeypatch, env, want):
+    def test_accepted_seeds(self, monkeypatch, env, want):
         monkeypatch.setenv(SEED_ENV_VAR, env)
         assert resolve_seed() == want
         assert resolve_seed(np.int64(5)) == 5
