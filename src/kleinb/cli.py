@@ -5,14 +5,14 @@ parameter axis), regime-map (CSV over an E x V0 grid), field (binary
 grid plus CSV density slice), klein-limit, filter-delay, and selftest
 (the seeded invariant suite).  All floating-point output is printed
 with 17 significant digits, so every value round-trips exactly through
-text.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
+text.  Exit codes: 0 success, 2 validation error or a file that cannot
+be read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 
@@ -48,15 +48,19 @@ EXIT_NUMERICAL = 3
 COMPTON_TIME_S = 1.2880886664441626e-21
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
-#: built.  The rows are evaluated, formatted and written CSV_CHUNK_LINES
-#: at a time, so a full-column sweep of MAX_CSV_ROWS rows peaked at
-#: 59 MiB RSS (30 MiB for one row; the rest is mostly the axis values)
-#: and a regime-map of as many cells at 35 MiB.
+#: built.  The rows are evaluated and formatted CSV_CHUNK_LINES at a
+#: time, so a full-column sweep of MAX_CSV_ROWS rows peaked at 57 MiB RSS
+#: and took 1.5 to 2.3 s on a 2-core x86-64 host (30 MiB for one row;
+#: the rest is mostly the axis values), and a regime-map of as many
+#: cells peaked at 47 MiB.
 MAX_CSV_ROWS = 400_000
 
-#: Rows evaluated, formatted and written at a time by the sweep, and
-#: lines written at a time by the sweep and regime-map writers.
+#: Rows evaluated and formatted at a time by the sweep, and rows laid
+#: out at a time by the sweep and regime-map writers.
 CSV_CHUNK_LINES = 4096
+
+#: Bytes of a row block (see _write_csv) compressed and written at a time.
+WRITE_BYTES = 1 << 17
 
 #: Regime labels, indexed by regime code.
 REGIME_LABELS = tuple(r.value for r in REGIMES)
@@ -76,10 +80,210 @@ def fmt(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)
 
 
-def _text_floats(x) -> list:
-    """x as (nested lists of) Python floats ready for "%.17g": the bytes
-    fmt prints, -0.0 included (x + 0.0 turns it into +0.0)."""
-    return (np.asarray(x, dtype=float) + 0.0).tolist()
+# ---------------------------------------------------------------------------
+# CSV numbers as arrays
+#
+# The CSV writers lay out a chunk of rows as one block of 8-byte words
+# whose bytes, the NULs dropped, are the rows' text.  A number fills a
+# cell of CELL_WORDS words: a separator byte (set by the writer) and the
+# sign and "0.000" prefix, right-aligned, in the first word; the 17
+# digits with the point inserted from byte 8; the exponent ("e-308"),
+# right-aligned, in the last five bytes.
+
+_WORD = np.dtype("<u8")
+CELL_WORDS = 4
+#: Numbers _float_texts formats per pass, so that its temporaries stay
+#: small whatever the size of a chunk.
+FLOAT_BATCH = 4096
+#: |x| range of the double-double path; beyond it 10^p or its low part
+#: would leave the normal doubles, and fmt formats the value.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+#: Scale exponents p = 16 - floor(log10|x|) of the 10^p table, and the
+#: offset of the decimal exponent X in the per-exponent tables.
+_P_MIN, _P_MAX = -270, 300
+_X_OFF = 330
+#: A rounding fraction this close to 1/2 may be an exact tie (rounded
+#: half to even) or misjudged by the ~1e-14 error of the scaled value;
+#: fmt formats it.
+_TIE_BAND = 2.0 ** -30
+
+
+def _le(text: bytes) -> int:
+    """The word whose little-endian bytes are text, NUL-padded to 8."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _float_tables() -> tuple:
+    """The tables of _float_texts, built from ints on first use.
+
+    pow10: rows (H, H_hi, H_lo, L) for p in [_P_MIN, _P_MAX], where
+    H + L = 10^p to ~2^-106 (H and L each correctly rounded) and
+    H_hi + H_lo is H split into 26-bit halves.  four: the ASCII of
+    "%04d" % i in the low half of a word; tz4: its trailing zeros.  By
+    decimal exponent X: the prefix word per sign, the exponent word (0
+    in fixed notation) and, per count of significant digits, the row of
+    masks.  The mask row of point position p and digits shown d keeps,
+    over three words, the digits before the point, the point, and the
+    digits after it moved one byte up.
+    """
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        if p >= 0:
+            h = float(10 ** p)
+            hi.append(h)
+            lo.append(float(10 ** p - int(h)))
+        else:
+            q = 10 ** -p
+            h = 1 / q
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * q) / (q * den))
+    H = np.array(hi)
+    c = H * 134217729.0
+    H_hi = c - (c - H)
+    pow10 = np.stack((H, H_hi, H - H_hi, np.array(lo)), axis=1)
+    # i = 1000 a + 100 b + 10 c + d on a (10, 10, 10, 10) grid of digits
+    digit = np.arange(ord("0"), ord("0") + 10, dtype=np.uint32)
+    zero = (np.arange(10) == 0).astype(np.int8)
+    four = (digit[:, None, None, None] | digit[:, None, None] << 8
+            | digit[:, None] << 16 | digit << 24).ravel().astype(np.uint64)
+    tz4 = (zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))).ravel()
+    x = np.arange(-_X_OFF, _X_OFF + 1, dtype=np.int16)
+    fixed = (-4 <= x) & (x < 17)
+    leads = {e: "0." + "0" * (-e - 1) for e in range(-4, 0)}
+    prefix = [_le((sign + leads.get(e, "")).encode().rjust(8, b"\0"))
+              for e in x.tolist() for sign in ("", "-")]
+    exponent = [0 if f else _le((b"e%+03d" % e).rjust(8, b"\0")) for e, f in zip(x.tolist(), fixed.tolist())]
+    point = np.where(fixed, np.where(x >= 0, x + 1, 17), 1)
+    shown = np.where(fixed & (x >= 0), x + 1, 0)  # integer digits, shown even if zeros
+    rows = 18 * point[:, None] + np.maximum(np.arange(18, dtype=np.int16), shown[:, None])
+    masks = np.zeros((18 * 18, 9), np.uint64)
+    for p in range(18):
+        for d in range(18):
+            before, after, dot = bytearray(24), bytearray(24), bytearray(24)
+            before[:min(p, d)] = b"\xff" * min(p, d)
+            if d > p:
+                dot[p] = ord(".")
+                after[p + 1:d + 1] = b"\xff" * (d - p)
+            masks[18 * p + d] = [int.from_bytes(m[j:j + 8], "little")
+                                 for m in (before, after, dot) for j in (0, 8, 16)]
+    return (pow10, four, tz4, np.array(prefix, np.uint64), np.array(exponent, np.uint64),
+            rows.ravel(), masks)
+
+
+def _scaled(v, k, pow10):
+    """v * 10^(16 - k) as a normalized double-double (s, t): Dekker's
+    product with Veltkamp splits (numpy has no fma), error ~1e-14."""
+    H, H_hi, H_lo, L = np.take(pow10, 16 - _P_MIN - k, axis=0).T
+    c = v * 134217729.0
+    v_hi = c - (c - v)
+    v_lo = v - v_hi
+    ph = v * H
+    pl = (((v_hi * H_hi - ph) + v_hi * H_lo + v_lo * H_hi) + v_lo * H_lo) + v * L
+    s = ph + pl
+    return s, pl - (s - ph)
+
+
+def _digits17(v: np.ndarray, pow10: np.ndarray, four: np.ndarray, tz4: np.ndarray) -> tuple:
+    """The 17-digit rounding of each v in [1e-280, 1e280]: its decimal
+    exponent k, the digits as ASCII in three words (_ascii_digits) and
+    the mask of possible ties, where the rounding fraction lies within
+    _TIE_BAND of 1/2."""
+    k = np.floor(np.log10(v)).astype(np.int64)
+    s, t = _scaled(v, k, pow10)
+    # log10 may round across a power of ten: bring s + t into [1e16, 1e17)
+    low = (s < 1e16) | ((s == 1e16) & (t < 0))
+    off = np.flatnonzero(low | (s > 1e17) | ((s == 1e17) & (t >= 0)))
+    if off.size:
+        k[off] += np.where(low[off], -1, 1)
+        s[off], t[off] = _scaled(v[off], k[off], pow10)
+    # s is an integer (> 2^53); N rounds s + t to nearest
+    floor = np.floor(t)
+    frac = t - floor
+    N = s.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = np.flatnonzero(N == 10 ** 17)
+    N[carry] = 10 ** 16
+    k[carry] += 1
+    return k, _ascii_digits(N, four, tz4), np.abs(frac - 0.5) < _TIE_BAND
+
+
+def _ascii_digits(N: np.ndarray, four: np.ndarray, tz4: np.ndarray) -> tuple:
+    """The 17 digits of each N in [1e16, 1e17) as ASCII in three words
+    (digits 0-7, 8-15 and 16), and the count of significant digits."""
+    q = N // 10
+    last = N - 10 * q
+    hi8 = q // 10 ** 8
+    lo8 = q - 10 ** 8 * hi8
+    g0 = hi8 // 10 ** 4
+    g1 = hi8 - 10 ** 4 * g0
+    g2 = lo8 // 10 ** 4
+    g3 = lo8 - 10 ** 4 * g2
+    half = np.uint64(32)
+    words = (
+        np.take(four, g0) | (np.take(four, g1) << half),
+        np.take(four, g2) | (np.take(four, g3) << half),
+        (last + ord("0")).astype(np.uint64),
+    )
+    nd = np.full(N.size, 17)
+    z = np.flatnonzero(last == 0)
+    if z.size:  # trailing zeros
+        d0, d1, d2, d3 = g0[z], g1[z], g2[z], g3[z]
+        nd[z] = 16 - tz4[d3] - (d3 == 0) * (tz4[d2] + (d2 == 0) * (tz4[d1] + (d1 == 0) * tz4[d0]))
+    return words, nd
+
+
+def _float_cells(numbers: np.ndarray, out: np.ndarray) -> None:
+    """Fill out, of numbers.shape + (CELL_WORDS,), with the cells of the
+    numbers; the first byte, the separator, is left NUL."""
+    pow10, four, tz4, prefix, exponent, rows, masks = _float_tables()
+    # a pass works on a power of two of numbers (the rest 1.0), so that
+    # its temporaries come in few sizes: varied sizes fragmented the heap,
+    # and a sweep's peak RSS crept up over a long run
+    shape, size = numbers.shape, numbers.size
+    x = np.ones(1 << max(6, (size - 1).bit_length()))
+    x[:size] = numbers.ravel()
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    # a zero takes the path of 1.0, and its "1" becomes "0"
+    k, ((w0, w1, w2), nd), tie = _digits17(np.where(fast, a, 1.0), pow10, four, tz4)
+    x_index = k + _X_OFF
+    m = np.take(masks, np.take(rows, 18 * x_index + nd), axis=0).T
+    # the digits before the point, the point, and the digits after it,
+    # moved one byte up
+    byte, top = np.uint64(8), np.uint64(56)
+    words = (
+        np.take(prefix, 2 * x_index + (x < 0)),
+        ((w0 & m[0]) | ((w0 << byte) & m[3]) | m[6]) - (a == 0),
+        (w1 & m[1]) | (((w1 << byte) | (w0 >> top)) & m[4]) | m[7],
+        (w2 & m[2]) | (((w2 << byte) | (w1 >> top)) & m[5]) | m[8] | np.take(exponent, x_index),
+    )
+    for j, word in enumerate(words):
+        out[..., j] = word[:size].reshape(shape)
+    for i in np.flatnonzero(~fast & (a != 0) | tie).tolist():
+        text = fmt(x[i]).encode().ljust(8 * CELL_WORDS - 8, b"\0")
+        out[np.unravel_index(i, shape)] = np.frombuffer(bytes(8) + text, _WORD)
+
+
+def _float_texts(x, out=None) -> np.ndarray:
+    """Cells of the numbers x (1-D or 2-D): words of x.shape +
+    (CELL_WORDS,), into out if given, whose bytes, the NULs dropped, are
+    fmt of each number.
+
+    Finite numbers with 1e-280 <= |x| <= 1e280 are scaled to 17 digits
+    in double-double arithmetic and laid out by the rules of "%.17g"
+    ('g' at precision 17, trailing zeros and a bare point dropped);
+    zeros print as "0".  The rest, nan, inf, far exponents and possible
+    rounding ties, go to fmt itself.  At most FLOAT_BATCH numbers are
+    formatted per pass.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape + (CELL_WORDS,), _WORD)
+    step = max(1, FLOAT_BATCH // max(1, x[:1].size))
+    for lo in range(0, len(x), step):
+        _float_cells(x[lo:lo + step], out[lo:lo + step])
+    return out
 
 
 def _json_value(v) -> str:
@@ -176,13 +380,25 @@ def _axis_values(args) -> list[float]:
     return values
 
 
-def _write_csv(out, header: str, lines) -> None:
-    """Write the header and the lines, each ended by a newline, a chunk
-    of lines per write, so the whole text is never held as one string."""
+def _text_words(texts: list[str]) -> np.ndarray:
+    """Short texts as rows of words, each NUL-padded to the longest."""
+    chars = np.array([t.encode() for t in texts])
+    width = -(-chars.itemsize // 8) * 8
+    return chars.astype(f"S{width}").view(_WORD).reshape(len(texts), width // 8)
+
+
+def _write_csv(out, header: str, blocks) -> None:
+    """Write the header line, then each block of rows: words whose
+    bytes, the NULs dropped, are the rows' text, newlines included.  A
+    block is written WRITE_BYTES of words at a time, so that neither the
+    whole text nor a block's text is held as one string."""
     out.write(header + "\n")
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, CSV_CHUNK_LINES)):
-        out.write("\n".join(chunk) + "\n")
+    for block in blocks:
+        chars = block.view(np.uint8)
+        step = max(1, WRITE_BYTES // max(1, chars.shape[1]))
+        for lo in range(0, len(chars), step):
+            part = chars[lo:lo + step]
+            out.write(str(part[part != 0].data, "ascii"))
 
 
 def _value_column(batch, name: str) -> np.ndarray:
@@ -194,15 +410,17 @@ def _value_column(batch, name: str) -> np.ndarray:
     return getattr(batch, name)
 
 
-def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str]):
-    """CSV lines of the header's columns, one per axis value, evaluated
-    and formatted CSV_CHUNK_LINES rows at a time as they are read.
+def _sweep_blocks(axis: str, values: list[float], fixed: dict, header: list[str]):
+    """Row blocks (see _write_csv) of the header's columns, one row per
+    axis value, evaluated and formatted CSV_CHUNK_LINES rows at a time as
+    they are read.
 
     Per chunk, make_channel's rules run over all rows at once
     (channel_valid); make_channel runs only on the invalid rows, to name
     their error, and the valid rows are evaluated in one amplitudes_batch
-    call.  Each row is formatted by one %-template over its stacked
-    values.
+    call.  _float_texts writes the axis values and the value table into
+    the chunk's block as arrays; a row with an error keeps its axis value
+    and error name, and its other cells are empty.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
@@ -210,26 +428,33 @@ def _sweep_lines(axis: str, values: list[float], fixed: dict, header: list[str])
     )
     up = fixed["spin"] is Spin.UP
     inner = header[2:-1]
-    blank = "%.17g" + "," * (len(inner) + 2) + "%s"
-    row = "%.17g,%s" + ",%.17g" * len(inner) + ","
+    labels = _text_words([f",{label}" for label in REGIME_LABELS] + [","])
     for lo in range(0, len(values), CSV_CHUNK_LINES):
         e, v0, bb, nn = (x[lo:lo + CSV_CHUNK_LINES] for x in (E, V0, b, n))
         valid = channel_valid(e, v0, bb, nn, up)
         batch = amplitudes_batch(e[valid], v0[valid], bb[valid], nn[valid], fixed["spin"])
-        errors = [""] * len(e)
-        for i in np.flatnonzero(~valid).tolist():
-            errors[i] = type(channel_error(e[i], v0[i], bb[i], nn[i], up)).__name__
-        for i in np.flatnonzero(valid)[batch.singular].tolist():
-            errors[i] = SingularStep.__name__
+        errors = {i: type(channel_error(e[i], v0[i], bb[i], nn[i], up)).__name__
+                  for i in np.flatnonzero(~valid).tolist()}
+        errors.update(dict.fromkeys(np.flatnonzero(valid)[batch.singular].tolist(), SingularStep.__name__))
         ok = ~batch.singular
-        table = np.empty((int(ok.sum()), len(inner)))
+        shown = np.flatnonzero(valid)[ok]
+        table = np.zeros((len(e), len(inner)))
         for j, name in enumerate(inner):
-            table[:, j] = _value_column(batch, name)[ok]
-        # the rows without an error are the shown ones, in table order
-        labels = iter([REGIME_LABELS[r] for r in batch.regime[ok].tolist()])
-        cells = iter(_text_floats(table))
-        for x, err in zip(_text_floats(values[lo:lo + CSV_CHUNK_LINES]), errors):
-            yield blank % (x, err) if err else row % (x, next(labels), *next(cells))
+            table[shown, j] = _value_column(batch, name)[ok]
+        codes = np.full(len(e), len(REGIME_LABELS))
+        codes[shown] = batch.regime[ok]
+        ends = _text_words([",\n"] + [f",{name}\n" for name in errors.values()])
+        block = np.zeros((len(e), CELL_WORDS * (1 + len(inner)) + 1 + ends.shape[1]), _WORD)
+        _float_texts(values[lo:lo + CSV_CHUNK_LINES], block[:, :CELL_WORDS])
+        block[:, CELL_WORDS] = labels[codes, 0]
+        cells = block[:, CELL_WORDS + 1:-ends.shape[1]].reshape(len(e), len(inner), CELL_WORDS)
+        _float_texts(table, cells)
+        failed = list(errors)
+        cells[failed] = 0
+        cells[..., 0] |= ord(",")
+        block[:, -ends.shape[1]:] = ends[0]
+        block[failed, -ends.shape[1]:] = ends[1:]
+        yield block
 
 
 _SWEEP_KEYS = {
@@ -269,10 +494,10 @@ def cmd_sweep(args) -> int:
         selected = list(SWEEP_VALUE_COLUMNS)
     header = ["axis_value", "regime", *selected, "error"]
 
-    lines = _sweep_lines(axis, values, fixed, header)
+    blocks = _sweep_blocks(axis, values, fixed, header)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        _write_csv(out, ",".join(header), lines)
+        _write_csv(out, ",".join(header), blocks)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -294,14 +519,21 @@ def cmd_regime_map(args) -> int:
     es = np.linspace(args.E_start, args.E_stop, args.E_count)
     v0s = np.linspace(args.V0_start, args.V0_stop, args.V0_count)
     c = 2.0 * args.b * args.n
-    labels = [REGIME_LABELS[r] for r in regime_codes(es[:, None], v0s[None, :], c).ravel().tolist()]
-    is_open = (channel_open(es, c) & (es > 0)).tolist()
     # each E and V0 is formatted once, for all the rows it appears in
-    e_text = ["%.17g" % e for e in _text_floats(es)]
-    v0_text = ["%.17g" % v0 for v0 in _text_floats(v0s)]
-    points = itertools.product(zip(e_text, is_open), v0_text)
-    rows = ("%s,%s,%s,%d" % (e, v0, label, o) for ((e, o), v0), label in zip(points, labels))
-    _write_csv(sys.stdout, "E,V0,regime,open", rows)
+    e_cells = _float_texts(es)
+    v0_cells = _float_texts(v0s)
+    v0_cells[:, 0] |= ord(",")
+    ends = _text_words([f",{label},{o}\n" for label in REGIME_LABELS for o in (0, 1)])
+    codes = 2 * regime_codes(es[:, None], v0s[None, :], c).ravel()
+    is_open = channel_open(es, c) & (es > 0)
+
+    def blocks():
+        for lo in range(0, codes.size, CSV_CHUNK_LINES):
+            e, v0 = np.divmod(np.arange(lo, min(lo + CSV_CHUNK_LINES, codes.size)), v0s.size)
+            tail = ends[codes[lo:lo + CSV_CHUNK_LINES] + is_open[e]]
+            yield np.concatenate((e_cells[e], v0_cells[v0], tail), axis=1)
+
+    _write_csv(sys.stdout, "E,V0,regime,open", blocks())
     return EXIT_OK
 
 
@@ -316,9 +548,11 @@ def cmd_field(args) -> int:
     if args.csv:
         dens = field.density()
         row = int(np.argmin(np.abs(field.y - field.y0)))
-        slice_rows = _text_floats(np.stack((field.z, dens[row]), axis=1))
+        density = _float_texts(dens[row])
+        density[:, 0] |= ord(",")
+        newline = np.full((len(density), 1), ord("\n"), _WORD)
         with open(args.csv, "w", encoding="utf-8") as fh:
-            _write_csv(fh, "z,density", ("%.17g,%.17g" % (z, d) for z, d in slice_rows))
+            _write_csv(fh, "z,density", [np.concatenate((_float_texts(field.z), density, newline), axis=1)])
         written["csv"] = args.csv
     emit_json({
         "regime": field.amps.regime.value,
@@ -451,7 +685,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KleinStepError, ValueError) as exc:
+    except (KleinStepError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, SingularMatrix) else EXIT_VALIDATION
 

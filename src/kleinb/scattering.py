@@ -280,9 +280,14 @@ def _spin_up(spin) -> np.ndarray:
 
 def _batch_kinematics(E, V0, b, n, spin) -> tuple[Kinematics, tuple]:
     """Broadcast and validate batch inputs; kinematics of the flattened points."""
+    return _mask_kinematics(E, V0, b, n, _spin_up(spin))
+
+
+def _mask_kinematics(E, V0, b, n, up) -> tuple[Kinematics, tuple]:
+    """_batch_kinematics with the spins given as a bool mask, True for up."""
     E, V0, b, n, up = np.broadcast_arrays(
         np.asarray(E, dtype=float), np.asarray(V0, dtype=float), np.asarray(b, dtype=float),
-        np.asarray(n, dtype=float), _spin_up(spin),
+        np.asarray(n, dtype=float), np.asarray(up, dtype=bool),
     )
     shape = E.shape
     E, V0, b, n, up = (np.ravel(x) for x in (E, V0, b, n, up))

@@ -23,9 +23,9 @@ import numpy as np
 from .scattering import (
     BatchAmplitudes,
     Kinematics,
-    _batch_kinematics,
     _boundary_solve,
     _evaluate,
+    _mask_kinematics,
     amplitudes,
     solve_boundary_system,
 )
@@ -141,9 +141,8 @@ def sample_grid(points: int, seed: int | None = None) -> SampledGrid:
     if not 1 <= points <= MAX_SELFTEST_POINTS:
         raise ValueError(f"selftest points must be in [1, {MAX_SELFTEST_POINTS}], got {points}")
     (E, V0, b, n, up), pairs = _suite_points(points, seed)
-    spin = np.where(up, Spin.UP, Spin.DOWN)
-    k, shape = _batch_kinematics(E, V0, b, n, spin)
-    batch = GridBatch(E, V0, b, n, spin, _evaluate(k, shape), k)
+    k, shape = _mask_kinematics(E, V0, b, n, up)
+    batch = GridBatch(E, V0, b, n, np.where(up, Spin.UP, Spin.DOWN), _evaluate(k, shape), k)
     mirrored = points + pairs.size
     return SampledGrid(**vars(batch[:points]), pairs=pairs,
                        mirror=batch[points:mirrored].amps, family=batch[mirrored:])

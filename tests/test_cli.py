@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kleinb.cli
 import kleinb.scattering
@@ -510,6 +512,149 @@ class TestCsvBytes:
         row = int(np.argmin(np.abs(field.y - field.y0)))
         want = "z,density\n" + "".join(f"{fmt(z)},{fmt(d)}\n" for z, d in zip(field.z, dens[row]))
         assert out_csv.read_text() == want
+
+
+def float_texts(x):
+    """The texts _float_texts lays out for the numbers x, one per number."""
+    cells = kleinb.cli._float_texts(np.asarray(x, dtype=float).ravel())
+    cells[:, 0] |= ord("\n")
+    chars = cells.view(np.uint8)
+    return str(chars[chars != 0].data, "ascii").split("\n")[1:]
+
+
+def assert_texts_are_fmt(x):
+    x = np.asarray(x, dtype=float).ravel()
+    got = float_texts(x)
+    assert len(got) == x.size
+    bad = [(v, g, fmt(v)) for v, g in zip(x.tolist(), got) if g != fmt(v)]
+    assert not bad, f"{len(bad)} of {x.size} differ, e.g. (value, got, fmt): {bad[:5]}"
+
+
+def float_edges():
+    """Numbers where a formatter goes wrong first."""
+    rng = np.random.default_rng(1907)
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    near = [tens]  # powers of ten and 1 and 2 ulp either side
+    up, down = tens, tens
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    ints = rng.integers(-(2 ** 53), 2 ** 53, 20000).astype(float)
+    powers = 2.0 ** np.arange(54)
+    whole = np.concatenate((powers, powers - 1, powers + 1, 10.0 ** np.arange(23), 10.0 ** np.arange(23) - 1))
+    # exact ties at 18 digits, rounded half to even: ...56.25 -> ...56.2, ...56.75 -> ...56.8
+    base = rng.integers(10 ** 15, 10 ** 16 // 4, 2000).astype(float)
+    ties = np.concatenate([base + f for f in (0.25, 0.5, 0.75)]
+                          + [base / 8 + f for f in (0.125, 0.375, 0.625, 0.875)]
+                          + [np.array([1234567890123456.25, 1234567890123456.75, 123456789012345.125])])
+    tiny = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310])
+    edges = np.array([1e-280, 1e280])
+    edges = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.7976931348623157e308, 0.1, 0.5,
+                        1e16, 1e17, 99999999999999999.0, 9.9999999999999995e-5, 1e-4, 1e-5,
+                        123456789012345678.0])
+    values = np.concatenate(near + [ints, whole, ties, tiny, edges, special])
+    return np.concatenate((values, -values))
+
+
+class TestFloatTexts:
+    """_float_texts lays out, for every number, exactly the bytes of fmt."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(1901).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64, endpoint=False)
+        assert_texts_are_fmt(bits.view(np.float64))
+
+    def test_edges(self):
+        assert_texts_are_fmt(float_edges())
+
+    def test_uniform_and_short_decimals(self):
+        rng = np.random.default_rng(1902)
+        assert_texts_are_fmt(rng.uniform(-10.0, 10.0, 10 ** 5))
+        scale = 10.0 ** rng.integers(0, 8, 10 ** 5)
+        assert_texts_are_fmt(np.round(rng.uniform(-1e4, 1e4, 10 ** 5) * scale) / scale)
+        assert_texts_are_fmt(10.0 ** rng.uniform(-300.0, 300.0, 10 ** 5))
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, values):
+        assert float_texts(values) == [fmt(v) for v in values]
+
+    def test_shapes_and_batches(self, monkeypatch):
+        # two-dimensional input and passes of a few numbers give the same cells
+        x = float_edges()[:2 * 3 * 667].reshape(-1, 3)
+        whole = kleinb.cli._float_texts(x)
+        monkeypatch.setattr(kleinb.cli, "FLOAT_BATCH", 7)
+        assert np.array_equal(kleinb.cli._float_texts(x), whole)
+        assert np.array_equal(kleinb.cli._float_texts(x.ravel()), whole.reshape(-1, 4))
+        assert kleinb.cli._float_texts(np.empty(0)).shape == (0, 4)
+
+    def test_fallback_is_rare(self, monkeypatch):
+        # fewer than 0.1 % of uniform values go to fmt; ties and nan always do
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fmt(x)
+
+        monkeypatch.setattr(kleinb.cli, "fmt", counted)
+        kleinb.cli._float_texts(np.random.default_rng(1903).uniform(0.0, 1.0, 10 ** 5))
+        assert len(calls) < 100
+        calls.clear()
+        kleinb.cli._float_texts(np.array([1234567890123456.25, np.nan, 1e300, 0.0, 2.5]))
+        assert [fmt(x) for x in calls] == ["1234567890123456.2", "nan", "1.0000000000000001e+300"]
+
+
+class TestCsvPieces:
+    """The CSV writers' bytes do not depend on how the rows are split
+    into formatting passes and written pieces."""
+
+    @pytest.mark.parametrize("axis, values, fixed, columns", BYTE_SWEEPS)
+    def test_sweep(self, capsys, monkeypatch, axis, values, fixed, columns):
+        monkeypatch.setattr(kleinb.cli, "FLOAT_BATCH", 5)
+        monkeypatch.setattr(kleinb.cli, "WRITE_BYTES", 1)
+        out = TestCsvBytes().sweep(capsys, axis, values, fixed, columns)
+        selected = SWEEP_VALUE_COLUMNS if columns is None else [c for c in columns.split(",") if c]
+        assert out == reference_sweep_csv(axis, values, fixed, selected)
+
+    def test_regime_map(self, capsys, monkeypatch):
+        argv = ["regime-map", "--E-start=-0", "--E-stop=6", "--E-count=13",
+                "--V0-start=-0", "--V0-stop=9", "--V0-count=19", "--b=0.5", "--n=3"]
+        want = run_cli(capsys, *argv)
+        monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 7)
+        monkeypatch.setattr(kleinb.cli, "WRITE_BYTES", 100)
+        assert run_cli(capsys, *argv) == want
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends the command with exit
+    code 2 and the error's name and text, not a traceback."""
+
+    def test_missing_config(self, capsys, tmp_path):
+        path = tmp_path / "none.cfg"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize("target, error", [
+        ("missing/x.csv", "FileNotFoundError: [Errno 2] No such file or directory"),
+        ("", "IsADirectoryError: [Errno 21] Is a directory"),
+    ])
+    def test_sweep_output(self, capsys, tmp_path, target, error):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "sweep", "--axis", "E", "--values", "2", "--V0", "1", "--b", "0.1",
+                                 "--n", "1", "--spin", "up", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}: '{path}'\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_field_files(self, capsys, tmp_path, flag):
+        files = {"--out": str(tmp_path / "f.bin"), "--csv": str(tmp_path / "s.csv")}
+        files[flag] = str(tmp_path / "missing" / "x")
+        flags = [x for kv in files.items() for x in kv]
+        code, out, err = run_cli(capsys, "field", "--E", "2", "--V0", "2.5", "--b", "0.3", "--n", "2",
+                                 "--spin", "up", "--ny", "8", "--nz", "8", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{files[flag]}'\n"
 
 
 class TestCsvRowBound:

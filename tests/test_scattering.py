@@ -570,6 +570,15 @@ class TestBatch:
         a = amplitudes(make_channel(3.0, 6.0, 0.2, Spin.DOWN, 1))
         assert batch.T[1, 1] == a.T and REGIMES[batch.regime[1, 1]] is a.regime
 
+    @pytest.mark.parametrize("spin", [True, np.array([True, False]), 1, Spin])
+    def test_spin_not_a_bool_mask(self, spin):
+        # public batch calls parse spins strictly; only the private
+        # _mask_kinematics, which selftest calls, takes a bool mask
+        with pytest.raises(ValueError, match="spin must be 'up' or 'down'"):
+            amplitudes_batch(2.0, 1.0, 0.1, 1, spin)
+        with pytest.raises(ValueError, match="spin must be 'up' or 'down'"):
+            solve_boundary_batch(2.0, 1.0, 0.1, 1, spin)
+
     def test_invalid_point_raises_typed_error(self):
         with pytest.raises(ClosedChannel, match=r"point \(1,\)"):
             amplitudes_batch([2.0, 1.0], 3.0, 0.0, 0, "down")

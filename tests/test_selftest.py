@@ -305,7 +305,7 @@ def test_one_batch_changes_no_bit(grid_seed, points):
 def test_run_validates_and_solves_once(monkeypatch):
     # one run validates and evaluates the grid, its spin mirror and the flip
     # family as one batch, and solves the 4x4 systems once
-    calls = {"_batch_kinematics": 0, "_evaluate": 0, "_boundary_solve": 0}
+    calls = {"_mask_kinematics": 0, "_evaluate": 0, "_boundary_solve": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -317,8 +317,11 @@ def test_run_validates_and_solves_once(monkeypatch):
         wrapper = counted(name, getattr(kleinb.scattering, name))
         monkeypatch.setattr(kleinb.scattering, name, wrapper)
         monkeypatch.setattr(kleinb.selftest, name, wrapper)
+    # the sampled spins reach the kinematics as the bool mask, unparsed
+    monkeypatch.setattr(kleinb.scattering, "_spin_up", counted("_spin_up", kleinb.scattering._spin_up))
+    calls["_spin_up"] = 0
     assert all(r.passed for r in run(1000, 1))
-    assert calls == {"_batch_kinematics": 1, "_evaluate": 1, "_boundary_solve": 1}
+    assert calls == {"_mask_kinematics": 1, "_evaluate": 1, "_boundary_solve": 1, "_spin_up": 0}
 
 
 class TestSeed:
