@@ -20,18 +20,20 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .errors import KleinStepError, SingularMatrix, SingularStep
-from .scattering import _point_results, amplitudes_batch, klein_limit
+from .scattering import _evaluate, _point_results, kinematics, klein_limit
 from .spinfilter import G_ELECTRON, Branch, FilterSetup, arrival_delay, split_momenta
 from .states import (
+    CHANNEL_RULES,
+    FIELD_RULES,
+    LEVEL_RULES,
     MAX_ENERGY,
     REGIMES,
     ChannelParams,
-    FieldStrength,
-    IncomingState,
     Spin,
-    channel_error,
+    broken_rules,
     channel_open,
     channel_valid,
+    check_rules,
     level_floats,
     make_channel,
     parse_spin,
@@ -59,7 +61,7 @@ MAX_CSV_ROWS = 400_000
 #: out at a time by the sweep and regime-map writers.
 CSV_CHUNK_LINES = 4096
 
-#: Bytes of a row block (see _write_csv) compressed and written at a time.
+#: Bytes of a row block (see _write_csv) written at a time, its NULs dropped.
 WRITE_BYTES = 1 << 17
 
 #: Regime labels, indexed by regime code.
@@ -416,11 +418,12 @@ def _sweep_blocks(axis: str, values: list[float], fixed: dict, header: list[str]
     they are read.
 
     Per chunk, make_channel's rules run over all rows at once
-    (channel_valid); make_channel runs only on the invalid rows, to name
-    their error, and the valid rows are evaluated in one amplitudes_batch
-    call.  _float_texts writes the axis values and the value table into
-    the chunk's block as arrays; a row with an error keeps its axis value
-    and error name, and its other cells are empty.
+    (channel_valid), the invalid rows' errors are named from the first
+    rule each breaks (broken_rules), and the valid rows are evaluated in
+    one pass of the closed forms.  _float_texts writes the axis values
+    and the value table into the chunk's block as arrays; a row with an
+    error keeps its axis value and error name, and its other cells are
+    empty.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
@@ -432,12 +435,14 @@ def _sweep_blocks(axis: str, values: list[float], fixed: dict, header: list[str]
     for lo in range(0, len(values), CSV_CHUNK_LINES):
         e, v0, bb, nn = (x[lo:lo + CSV_CHUNK_LINES] for x in (E, V0, b, n))
         valid = channel_valid(e, v0, bb, nn, up)
-        batch = amplitudes_batch(e[valid], v0[valid], bb[valid], nn[valid], fixed["spin"])
-        errors = {i: type(channel_error(e[i], v0[i], bb[i], nn[i], up)).__name__
-                  for i in np.flatnonzero(~valid).tolist()}
-        errors.update(dict.fromkeys(np.flatnonzero(valid)[batch.singular].tolist(), SingularStep.__name__))
+        rows, bad = np.flatnonzero(valid), np.flatnonzero(~valid)
+        k = kinematics(e[rows], v0[rows], 2.0 * bb[rows] * nn[rows], np.full(rows.size, up))
+        batch = _evaluate(k, (rows.size,))
+        broken = broken_rules(e[bad], v0[bad], bb[bad], nn[bad], up).tolist() if bad.size else []
+        errors = {i: CHANNEL_RULES[r][1].__name__ for i, r in zip(bad.tolist(), broken)}
+        errors.update(dict.fromkeys(rows[batch.singular].tolist(), SingularStep.__name__))
         ok = ~batch.singular
-        shown = np.flatnonzero(valid)[ok]
+        shown = rows[ok]
         table = np.zeros((len(e), len(inner)))
         for j, name in enumerate(inner):
             table[shown, j] = _value_column(batch, name)[ok]
@@ -505,8 +510,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime_map(args) -> int:
-    FieldStrength(args.b)  # validates b
-    IncomingState(Spin.DOWN, args.n)  # validates n
+    check_rules(FIELD_RULES + LEVEL_RULES, b=args.b, n=args.n, up=False)
     for flag in ("E_start", "E_stop", "V0_start", "V0_stop"):
         x = getattr(args, flag)
         if not (math.isfinite(x) and abs(x) <= MAX_ENERGY):

@@ -38,9 +38,11 @@ from .states import (
     EVANESCENT,
     REGIMES,
     ChannelParams,
+    Regime,
     Spin,
     channel_error,
     channel_valid,
+    level_floats,
     make_channel,
     parse_spin,
 )
@@ -287,7 +289,7 @@ def _mask_kinematics(E, V0, b, n, up) -> tuple[Kinematics, tuple]:
     """_batch_kinematics with the spins given as a bool mask, True for up."""
     E, V0, b, n, up = np.broadcast_arrays(
         np.asarray(E, dtype=float), np.asarray(V0, dtype=float), np.asarray(b, dtype=float),
-        np.asarray(n, dtype=float), np.asarray(up, dtype=bool),
+        level_floats(n), np.asarray(up, dtype=bool),
     )
     shape = E.shape
     E, V0, b, n, up = (np.ravel(x) for x in (E, V0, b, n, up))

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ClosedChannel, EvanescentBranch
-from .states import FieldStrength, IncomingState, Spin, check_energies, momentum_sq
+from .states import ENERGY_RULES, FIELD_RULES, LEVEL_RULES, check_rules, momentum_sq
 
 #: Electron spin g-factor including radiative corrections.
 G_ELECTRON = 2.002319
@@ -44,9 +44,9 @@ class FilterSetup:
     E, b, n label the degenerate pair; distance is the flight path from
     the step to the screen in Compton units; V0 is required for the
     transmitted branch and ignored otherwise.  b, n, E and a given V0
-    follow the rules of a channel (make_channel) and raise its errors,
-    n those of the spin-up member (orbital index n - 1), so
-    1 <= n <= MAX_LEVEL.
+    follow the b, n, E and V0 rules of a channel (states.CHANNEL_RULES)
+    and raise their errors, n those of the spin-up member (orbital index
+    n - 1), so 1 <= n <= MAX_LEVEL.
     """
 
     E: float
@@ -58,9 +58,8 @@ class FilterSetup:
     V0: float | None = None
 
     def __post_init__(self) -> None:
-        FieldStrength(self.b)
-        IncomingState(Spin.UP, self.n)
-        check_energies(self.E, 0.0 if self.V0 is None else self.V0)
+        check_rules(FIELD_RULES + LEVEL_RULES + ENERGY_RULES, E=self.E,
+                    V0=0.0 if self.V0 is None else self.V0, b=self.b, n=self.n, up=True)
         if not math.isfinite(self.g):
             raise ValueError(f"g-factor must be finite, got {self.g}")
         if not (math.isfinite(self.distance) and self.distance >= 0.0):

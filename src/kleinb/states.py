@@ -1,5 +1,11 @@
 """Channel labels, field strength, and validated scattering parameters.
 
+The rules a channel obeys (b >= 0, an existing level pair, E and V0 in
+range, an open channel) are written once, as the table CHANNEL_RULES.
+FieldStrength, IncomingState and ChannelParams raise the error of the
+first rule a scalar point breaks; channel_valid, broken_rules and
+channel_error apply the same table to arrays of points.
+
 Everything in this package is dimensionless: energies are measured in
 units of the electron rest energy mc^2, momenta in mc, lengths in
 Compton units hbar/(mc), times in hbar/(mc^2), and c = hbar = 1.  The
@@ -16,12 +22,15 @@ V(z) = V0 (z >= 0), with the field parallel to z.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ClosedChannel, InvalidSpinIndex, KleinStepError, NegativeField
+from .errors import ClosedChannel, InvalidSpinIndex, NegativeField
 
 #: Largest E and V0 a channel accepts.  The closed forms square products
 #: of up to four energies; sums stay conserved to 1e-12 up to E = 1e76
@@ -73,10 +82,7 @@ class FieldStrength:
     b: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.b):
-            raise NegativeField(f"field ratio b must be finite, got {self.b}")
-        if self.b < 0.0:
-            raise NegativeField(f"field ratio b must be >= 0, got {self.b}")
+        check_rules(FIELD_RULES, b=self.b)
 
     @property
     def magnetic_length(self) -> float:
@@ -96,7 +102,7 @@ class IncomingState:
     label n: spin-up means the member with orbital index n - 1, spin-down
     the member with orbital index n.  Spin-up therefore requires n >= 1;
     (down, n = 0) is the single non-degenerate lowest state.  spin must
-    be a Spin member and n is at most MAX_LEVEL.
+    be a Spin member and n keeps the n rules of CHANNEL_RULES.
     """
 
     spin: Spin
@@ -105,25 +111,14 @@ class IncomingState:
     def __post_init__(self) -> None:
         if not isinstance(self.spin, Spin):
             raise InvalidSpinIndex(f"spin must be a Spin member, got {self.spin!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InvalidSpinIndex(f"channel index n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise InvalidSpinIndex(f"channel index n must be >= 0, got {self.n}")
-        if self.n > MAX_LEVEL:
-            raise InvalidSpinIndex(f"channel index n must be <= MAX_LEVEL = {MAX_LEVEL}, got {self.n}")
-        if self.spin is Spin.UP and self.n == 0:
-            raise InvalidSpinIndex("spin-up requires n >= 1 (orbital index n - 1 must exist)")
+        check_rules(LEVEL_RULES, n=self.n, up=self.spin is Spin.UP)
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Validated parameters of one scattering problem.
-
-    E  : total energy, mc^2 units, must open the incoming channel,
-         i.e. E^2 > 1 + 2 b n.
-    V0 : step height, mc^2 units, >= 0.
-    Both are at most MAX_ENERGY.
-    """
+    """Validated parameters of one scattering problem: total energy E
+    and step height V0 in mc^2 units, which keep the E, V0 and open-channel
+    rules of CHANNEL_RULES."""
 
     E: float
     V0: float
@@ -131,11 +126,7 @@ class ChannelParams:
     state: IncomingState
 
     def __post_init__(self) -> None:
-        check_energies(self.E, self.V0)
-        if not channel_open(self.E, self.C):
-            raise ClosedChannel(
-                f"channel closed: E^2 = {self.E * self.E:.6g} <= 1 + 2 b n = {1.0 + self.C:.6g}"
-            )
+        check_rules(CHANNEL_RULES[6:], E=self.E, V0=self.V0, b=self.field.b, n=self.state.n)
 
     @property
     def spin(self) -> Spin:
@@ -151,20 +142,6 @@ class ChannelParams:
         return self.field.c_n(self.state.n)
 
 
-def check_energies(E: float, V0: float) -> None:
-    """The E and V0 rules of a channel: both finite, E > 0, V0 >= 0 and
-    both at most MAX_ENERGY.  Raises ValueError; channel_valid is the
-    same rule over arrays."""
-    if not (math.isfinite(E) and math.isfinite(V0)):
-        raise ValueError("E and V0 must be finite")
-    if E <= 0.0:
-        raise ValueError(f"total energy must be > 0, got {E}")
-    if V0 < 0.0:
-        raise ValueError(f"step height must be >= 0, got {V0}")
-    if max(E, V0) > MAX_ENERGY:
-        raise ValueError(f"E and V0 must be <= MAX_ENERGY = {MAX_ENERGY:g}")
-
-
 def parse_spin(spin: Spin | str) -> Spin:
     """Spin from a Spin member or a case-insensitive 'up'/'down' string;
     ValueError for anything else, bools and integers included."""
@@ -178,10 +155,12 @@ def parse_spin(spin: Spin | str) -> Spin:
 def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> ChannelParams:
     """Build validated ChannelParams.
 
-    Raises NegativeField for b < 0, InvalidSpinIndex for (up, 0),
-    n < 0 or n > MAX_LEVEL, ClosedChannel for E^2 <= 1 + 2 b n, ValueError for
-    non-finite or out-of-range E, V0 and for a spin parse_spin rejects.  channel_valid is the same rule
-    over arrays.
+    Raises ValueError for a spin parse_spin rejects, then the error of
+    the first rule of CHANNEL_RULES the point breaks: NegativeField for
+    a non-finite or negative b, InvalidSpinIndex for an n that is not an
+    int in [0, MAX_LEVEL] and for (up, 0), ValueError for non-finite or
+    out-of-range E and V0, and ClosedChannel for E^2 <= 1 + 2 b n.
+    channel_valid applies the same table over arrays.
     """
     return ChannelParams(
         E=float(E), V0=float(V0), field=FieldStrength(float(b)),
@@ -215,36 +194,88 @@ def channel_open(E, C):
     return momentum_sq(E, 0.0, C) > 0.0
 
 
+#: make_channel's rules, in the order it checks them: (where the rule holds, its error, the error's text),
+#: functions of the point p (E, V0, b, n, and up: True for spin-up); holds also takes arrays, n as floats.
+CHANNEL_RULES = (
+    (lambda p: np.isfinite(p.b), NegativeField, lambda p: f"field ratio b must be finite, got {p.b}"),
+    (lambda p: p.b >= 0.0, NegativeField, lambda p: f"field ratio b must be >= 0, got {p.b}"),
+    (lambda p: (np.isfinite(p.n) & (p.n == np.floor(p.n)) if isinstance(p.n, np.ndarray)
+                else isinstance(p.n, int) and not isinstance(p.n, bool)),
+     InvalidSpinIndex, lambda p: f"channel index n must be an integer, got {p.n!r}"),
+    (lambda p: p.n >= 0, InvalidSpinIndex, lambda p: f"channel index n must be >= 0, got {int(p.n)}"),
+    (lambda p: p.n <= MAX_LEVEL, InvalidSpinIndex,
+     lambda p: f"channel index n must be <= MAX_LEVEL = {MAX_LEVEL}, got {int(p.n)}"),
+    (lambda p: np.logical_not(p.up & (p.n == 0)), InvalidSpinIndex,
+     lambda p: "spin-up requires n >= 1 (orbital index n - 1 must exist)"),
+    (lambda p: np.isfinite(p.E) & np.isfinite(p.V0), ValueError, lambda p: "E and V0 must be finite"),
+    (lambda p: p.E > 0.0, ValueError, lambda p: f"total energy must be > 0, got {p.E}"),
+    (lambda p: p.V0 >= 0.0, ValueError, lambda p: f"step height must be >= 0, got {p.V0}"),
+    (lambda p: (p.E <= MAX_ENERGY) & (p.V0 <= MAX_ENERGY), ValueError,
+     lambda p: f"E and V0 must be <= MAX_ENERGY = {MAX_ENERGY:g}"),
+    (lambda p: channel_open(p.E, 2.0 * p.b * p.n), ClosedChannel,
+     lambda p: f"channel closed: E^2 = {p.E * p.E:.6g} <= 1 + 2 b n = {1.0 + 2.0 * p.b * p.n:.6g}"),
+)
+FIELD_RULES, LEVEL_RULES, ENERGY_RULES = CHANNEL_RULES[:2], CHANNEL_RULES[2:6], CHANNEL_RULES[6:10]
+
+
+def check_rules(rules, **point) -> None:
+    """Raise the exception of the first of the rules the point breaks."""
+    p = SimpleNamespace(**point)
+    for holds, error, message in rules:
+        if not holds(p):
+            raise error(message(p))
+
+
+def _held(E, V0, b, n, up) -> list:
+    p = SimpleNamespace(E=E, V0=V0, b=b, n=np.asarray(n, dtype=float), up=up)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return [holds(p) for holds, _, _ in CHANNEL_RULES]
+
+
 def channel_valid(E, V0, b, n, up):
     """make_channel's rules over arrays: True where make_channel accepts
     the point (n as float, up a bool mask for spin-up)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return (
-            (E > 0.0) & (E <= MAX_ENERGY) & (V0 >= 0.0) & (V0 <= MAX_ENERGY)
-            & np.isfinite(b) & (b >= 0.0) & (n >= 0.0) & (n <= MAX_LEVEL) & (n == np.floor(n))
-            & ~(up & (n == 0.0)) & channel_open(E, 2.0 * b * n)
-        )
+    return functools.reduce(operator.and_, _held(E, V0, b, n, up))
 
 
-def level_floats(n) -> np.ndarray:
-    """n (an int or a sequence of floats) as the float array channel_valid
-    takes.  An int too large for a float becomes +-(MAX_LEVEL + 1), which
-    the level rule rejects as it rejects n itself."""
-    try:
-        return np.asarray(n, dtype=float)
-    except OverflowError:
-        return np.asarray(float(MAX_LEVEL + 1 if n > 0 else -MAX_LEVEL - 1))
+def broken_rules(E, V0, b, n, up) -> np.ndarray:
+    """Per point that channel_valid rejects, the index into CHANNEL_RULES
+    of the first rule it breaks: the rule whose error make_channel raises."""
+    return np.argmin(np.stack(np.broadcast_arrays(*_held(E, V0, b, n, up))), axis=0)
 
 
 def channel_error(E, V0, b, n, up) -> Exception:
-    """The exception make_channel raises for one point that channel_valid
-    rejects (float n, as in channel_valid)."""
-    n = int(n) if math.isfinite(n) and n == math.floor(n) else float(n)
+    """The exception make_channel raises for one point channel_valid rejects (n as a float)."""
+    p = SimpleNamespace(E=float(E), V0=float(V0), b=float(b), n=float(n), up=bool(up))
+    _, error, message = CHANNEL_RULES[_held(**vars(p)).index(False)]
+    return error(message(p))
+
+
+def level_floats(n) -> np.ndarray:
+    """n (an int, a float, or an array or a sequence of them) as the float
+    array channel_valid takes.  An int too large for a float becomes
+    +-(MAX_LEVEL + 1), which the level rule rejects as it rejects n
+    itself.  A bool, alone, in a sequence or as a bool array, raises
+    InvalidSpinIndex, as make_channel does."""
+    levels = np.asarray(n)
+    if levels.dtype == bool and levels.size:
+        check_rules(LEVEL_RULES, n=levels.flat[0].item(), up=False)
+    if levels.dtype == object or levels.dtype.kind in "iu" and not isinstance(n, np.ndarray):
+        # numpy takes a bool among Python ints as 0 or 1, and keeps an int beyond 64 bits as an object
+        items = np.asarray(n, dtype=object)
+        bools = [x for x in items.flat if type(x) in (bool, np.bool_)]
+        if bools:
+            check_rules(LEVEL_RULES, n=bool(bools[0]), up=False)
+        if levels.dtype == object:
+            levels = np.array([_level_float(x) for x in items.flat]).reshape(levels.shape)
+    return levels.astype(float, copy=False)
+
+
+def _level_float(x) -> float:
     try:
-        make_channel(E, V0, b, Spin.UP if up else Spin.DOWN, n)
-    except (ValueError, KleinStepError) as exc:
-        return exc
-    return ValueError("invalid channel")
+        return float(np.asarray(x, dtype=float))
+    except OverflowError:
+        return MAX_LEVEL + 1.0 if x > 0 else -MAX_LEVEL - 1.0
 
 
 def regime_codes(E, V0, C):

@@ -369,7 +369,9 @@ class TestSweepRowParity:
         errors = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
         assert errors == ["InvalidSpinIndex", "InvalidSpinIndex"]
 
-    def test_make_channel_runs_only_on_invalid_rows(self, capsys, monkeypatch):
+    def test_make_channel_never_runs(self, capsys, monkeypatch):
+        # the invalid rows' errors come from the rule table, with no
+        # make_channel call and no exception per row
         calls = []
 
         def counted(*args, **kwargs):
@@ -382,7 +384,7 @@ class TestSweepRowParity:
         code, _, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values", "0,1,3,5,6", *flags)
         assert code == 0 and calls == []  # V0 = 3 is SingularStep, found without make_channel
         code, out, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values=0,-1,1,nan,6", *flags)
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and calls == []
         assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == [
             "", "ValueError", "", "ValueError", ""]
 
@@ -451,16 +453,16 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("axis, values, fixed, columns", BYTE_SWEEPS)
     def test_sweep_evaluated_per_chunk(self, capsys, monkeypatch, axis, values, fixed, columns):
-        # with 3-line chunks no amplitudes_batch call sees more than 3
-        # points, and the bytes across chunk boundaries are unchanged
-        sizes, evaluate = [], kleinb.cli.amplitudes_batch
+        # with 3-line chunks the closed forms run once per chunk on at most
+        # 3 points, and the bytes across chunk boundaries are unchanged
+        sizes, evaluate = [], kleinb.cli._evaluate
 
-        def counted(E, *args):
-            sizes.append(np.size(E))
-            return evaluate(E, *args)
+        def counted(k, shape):
+            sizes.append(k.E.size)
+            return evaluate(k, shape)
 
         monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 3)
-        monkeypatch.setattr(kleinb.cli, "amplitudes_batch", counted)
+        monkeypatch.setattr(kleinb.cli, "_evaluate", counted)
         out = self.sweep(capsys, axis, values, fixed, columns)
         assert len(sizes) == math.ceil(len(values.split(",")) / 3) and max(sizes) <= 3
         selected = SWEEP_VALUE_COLUMNS if columns is None else [c for c in columns.split(",") if c]

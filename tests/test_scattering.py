@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -588,3 +589,28 @@ class TestBatch:
             amplitudes_batch(2.0, 1.0, 0.1, [1, 0], "up")
         with pytest.raises(ValueError):
             amplitudes_batch([2.0, np.nan], 1.0, 0.1, 1, "down")
+
+    @pytest.mark.parametrize("batch", [amplitudes_batch, solve_boundary_batch])
+    @pytest.mark.parametrize("n, where, message", [
+        (10 ** 400, "()", "channel index n must be <= MAX_LEVEL = 9007199254740991, got 9007199254740992"),
+        ([1, 10 ** 400], "(1,)", "channel index n must be <= MAX_LEVEL = 9007199254740991, got 9007199254740992"),
+        ([-(10 ** 400), 1], "(0,)", "channel index n must be >= 0, got -9007199254740992"),
+    ])
+    def test_level_beyond_float_range(self, batch, n, where, message):
+        # an int too large for a float is out of range, as in make_channel
+        with pytest.raises(InvalidSpinIndex) as got:
+            batch(2.0, 1.0, 0.1, n, "down")
+        assert str(got.value) == f"point {where}: {message}"
+        with pytest.raises(InvalidSpinIndex, match="MAX_LEVEL"):
+            make_channel(2.0, 1.0, 0.1, "down", 10 ** 400)
+
+    @pytest.mark.parametrize("batch", [amplitudes_batch, solve_boundary_batch])
+    @pytest.mark.parametrize("n, shown", [
+        (True, "True"), (False, "False"), (np.array([True, False]), "True"), ([10 ** 400, True], "True"),
+        ([2, True], "True"), ((False, 1), "False"), ([1, np.True_], "True"),
+    ])
+    def test_level_not_a_bool(self, batch, n, shown):
+        # make_channel's integer rule: a bool is not taken as 0 or 1
+        message = f"channel index n must be an integer, got {shown}"
+        with pytest.raises(InvalidSpinIndex, match="^" + re.escape(message) + "$"):
+            batch(2.0, 1.0, 0.1, n, "down")

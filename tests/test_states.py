@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import re
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kleinb
 from kleinb import (
     ChannelParams,
     ClosedChannel,
@@ -225,3 +228,11 @@ def test_array_rule_matches_make_channel():
             assert type(channel_error(e[i], v0[i], b[i], n[i], up[i])) is want, grid[i]
         kinds.add(want)
     assert kinds == {None, ValueError, ClosedChannel, InvalidSpinIndex, NegativeField}
+
+
+@pytest.mark.parametrize("name", kleinb.__all__)
+def test_type_hints_resolve(name):
+    # every annotation of the public classes and functions names a defined type
+    obj = getattr(kleinb, name)
+    if inspect.isclass(obj) or inspect.isfunction(obj):
+        typing.get_type_hints(obj)
