@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .states import (
     ChannelParams,
     Spin,
     broken_rules,
-    channel_open,
     channel_valid,
     check_rules,
     level_floats,
@@ -529,7 +529,9 @@ def cmd_regime_map(args) -> int:
     v0_cells[:, 0] |= ord(",")
     ends = _text_words([f",{label},{o}\n" for label in REGIME_LABELS for o in (0, 1)])
     codes = 2 * regime_codes(es[:, None], v0s[None, :], c).ravel()
-    is_open = channel_open(es, c) & (es > 0)
+    # the table's E > 0 and open-channel rules, on the E column at V0 = 0
+    column = SimpleNamespace(E=es, V0=0.0, b=args.b, n=args.n, up=False)
+    is_open = CHANNEL_RULES[7][0](column) & CHANNEL_RULES[-1][0](column)
 
     def blocks():
         for lo in range(0, codes.size, CSV_CHUNK_LINES):

@@ -280,13 +280,9 @@ def _spin_up(spin) -> np.ndarray:
     return up.reshape(arr.shape)
 
 
-def _batch_kinematics(E, V0, b, n, spin) -> tuple[Kinematics, tuple]:
-    """Broadcast and validate batch inputs; kinematics of the flattened points."""
-    return _mask_kinematics(E, V0, b, n, _spin_up(spin))
-
-
 def _mask_kinematics(E, V0, b, n, up) -> tuple[Kinematics, tuple]:
-    """_batch_kinematics with the spins given as a bool mask, True for up."""
+    """Broadcast and validate batch inputs, the spins given as a bool mask
+    (True for up); kinematics of the flattened points."""
     E, V0, b, n, up = np.broadcast_arrays(
         np.asarray(E, dtype=float), np.asarray(V0, dtype=float), np.asarray(b, dtype=float),
         level_floats(n), np.asarray(up, dtype=bool),
@@ -313,7 +309,7 @@ def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
     scalar amplitudes and current_budget return the same numbers bit for
     bit.
     """
-    return _evaluate(*_batch_kinematics(E, V0, b, n, spin))
+    return _evaluate(*_mask_kinematics(E, V0, b, n, _spin_up(spin)))
 
 
 def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:
@@ -408,7 +404,7 @@ def solve_boundary_batch(E, V0, b, n, spin) -> tuple[np.ndarray, np.ndarray]:
     system degenerates (see solve_boundary_system), their amps are not
     meaningful.  solve_boundary_system is this solve at one point.
     """
-    k, shape = _batch_kinematics(E, V0, b, n, spin)
+    k, shape = _mask_kinematics(E, V0, b, n, _spin_up(spin))
     x, failed = _boundary_solve(k)
     return x.reshape(shape + (4,)), failed.reshape(shape)
 

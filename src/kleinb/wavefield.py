@@ -8,7 +8,9 @@ to component-wise matching of the coefficient 4-vectors.  Every piece
 is thus a transverse factor of y times a plane wave in z, and a field
 is kept as the (4, ny) transverse factors and a (4, nz) longitudinal
 profile that sums each side's plane waves; the (4, ny, nz) grid, their
-outer product, is built only when it is read.
+outer product, is built only when it is read.  Grid files store the
+components as these factors too, and load_grid rebuilds the grid by
+the same product.
 
 The transmitted pieces are accumulated through the scaled amplitudes
 tau = T/w (w the transmitted normalization prefactor), which keeps the
@@ -38,10 +40,15 @@ _MAGIC = b"KLBFIELD"
 GRID_VERSION = 1
 _HEADER = struct.Struct("<8sII II ddddd")  # magic, version, kind, ny, nz, dy, dz, y0, ystart, zstart
 GRID_KIND_DENSITY = 0
+#: Components as the (4, ny, nz) grid; written before GRID_KIND_FACTORS, still read.
 GRID_KIND_COMPONENTS = 1
-#: Bytes of the buffer that save_grid fills and writes components through:
-#: small enough to stay in a core's L2 cache between fill and write.
-GRID_BLOCK_BYTES = 1 << 20
+GRID_KIND_FACTORS = 2
+
+
+def _outer(trans: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """The (4, ny, nz) components trans x profile: SpinorField.values and a
+    loaded factors payload are this one product, so they agree bit for bit."""
+    return trans[:, :, None] * profile[:, None, :]
 
 
 @dataclass
@@ -58,7 +65,7 @@ class SpinorField:
     The (4, ny, nz) grid ``values`` = trans x profile is built the first
     time it is read and then kept.  density, integrated_current,
     boundary_values and save_grid work on the factors and never build
-    it.
+    it; load_grid rebuilds it from saved factors by the same product.
     """
 
     y: np.ndarray
@@ -73,7 +80,7 @@ class SpinorField:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The complex components, shape (4, ny, nz), built on first read."""
-        return self.trans[:, :, None] * self.profile[:, None, :]
+        return _outer(self.trans, self.profile)
 
     def density(self) -> np.ndarray:
         """Probability density sum_i |psi_i|^2, shape (ny, nz).
@@ -279,43 +286,22 @@ def _spacing(name: str, axis: np.ndarray) -> float:
     return step
 
 
-def _write_components(fh, field: SpinorField) -> None:
-    """Write the (4, ny, nz) components trans x profile in C order.
-
-    Every block of rows is filled into one reused (rows, nz) buffer by
-    the multiply that builds values, so the bytes are those of values.
-    trans is cast to complex once, as the multiply would cast it per
-    block.
-    """
-    ny, nz = field.y.size, field.z.size
-    rows = max(1, min(ny, GRID_BLOCK_BYTES // (16 * nz)))
-    buf = np.empty((rows, nz), dtype=complex)
-    for t, p in zip(field.trans.astype(complex), field.profile):
-        for lo in range(0, ny, rows):
-            block = buf[:min(rows, ny - lo)]
-            np.multiply(t[lo:lo + len(block), None], p[None, :], out=block)
-            fh.write(block)
-
-
 def save_grid(path, field: SpinorField, what: str = "density") -> None:
     """Write the field's density or components in the binary grid format.
 
     Layout: a 64-byte little-endian header (magic "KLBFIELD", format
     version, payload kind, ny, nz, dy, dz, y0, y_start, z_start)
-    followed by the payload in C order: ny*nz float64 densities, or
-    4*ny*nz complex128 components (component index slowest).  Requires a
-    uniformly spaced grid with a nonzero step (ValueError otherwise,
-    before the file is opened); dy and dz are the mean steps.
-    Components are written from the factors through one reused block of
-    rows of about GRID_BLOCK_BYTES (one row of nz values when a row is
-    wider), bit-identical to values, which is never built: beyond the
-    block and a complex copy of the (4, ny) factors, writing them
-    allocates nothing.
+    followed by the payload in C order: ny*nz float64 densities
+    (GRID_KIND_DENSITY), or the components as their factors
+    (GRID_KIND_FACTORS), the (4, ny) float64 trans and then the (4, nz)
+    complex128 profile: 32*ny + 64*nz bytes, no complex grid built.
+    Requires a uniformly spaced grid with a nonzero step (ValueError
+    otherwise, before the file is opened); dy and dz are the mean steps.
     """
     if what == "density":
-        kind, density = GRID_KIND_DENSITY, field.density()
+        kind, payload = GRID_KIND_DENSITY, (field.density(),)
     elif what == "components":
-        kind = GRID_KIND_COMPONENTS
+        kind, payload = GRID_KIND_FACTORS, (field.trans, field.profile)
     else:
         raise ValueError(f"unknown grid payload {what!r}")
     dy, dz = _spacing("y", field.y), _spacing("z", field.z)
@@ -326,21 +312,32 @@ def save_grid(path, field: SpinorField, what: str = "density") -> None:
     assert len(header) == 64
     with open(path, "wb") as fh:
         fh.write(header)
-        if kind == GRID_KIND_DENSITY:
-            density.tofile(fh)
-        else:
-            _write_components(fh, field)
+        for array in payload:
+            array.tofile(fh)
+
+
+#: Per payload kind: the arrays stored, as (dtype, shape) for an ny x nz
+#: grid in file order, and the function that builds load_grid's array from them.
+_PAYLOADS = {
+    GRID_KIND_DENSITY: (lambda ny, nz: [(np.float64, (ny, nz))], lambda d: d),
+    GRID_KIND_COMPONENTS: (lambda ny, nz: [(np.complex128, (4, ny, nz))], lambda c: c),
+    GRID_KIND_FACTORS: (lambda ny, nz: [(np.float64, (4, ny)), (np.complex128, (4, nz))], _outer),
+}
 
 
 def load_grid(path):
     """Read a file written by save_grid.
 
     Returns (info, array) where info is a dict of the header fields and
-    array has shape (ny, nz) for a density payload or (4, ny, nz) for a
-    components payload.  Raises ValueError for a bad magic, a format
-    version other than GRID_VERSION, an unknown payload kind, or a
-    payload whose length does not match the header (checked against
-    the file size before the payload is read).
+    array has shape (ny, nz) for a density payload or (4, ny, nz)
+    complex128 for a components payload: a factors payload is rebuilt
+    by the product that builds SpinorField.values, equal to it bit for
+    bit, and a (4, ny, nz) grid payload (GRID_KIND_COMPONENTS) is read
+    as stored.  Raises ValueError for a bad magic, a format version
+    other than GRID_VERSION, an unknown payload kind, or a payload
+    whose length does not match the header (checked against the file
+    size before the payload is read), and GridTooLarge for a factors
+    payload whose ny * nz exceeds MAX_GRID_POINTS.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -351,23 +348,25 @@ def load_grid(path):
             raise ValueError(f"not a kleinb grid file: bad magic {magic!r}")
         if version != GRID_VERSION:
             raise ValueError(f"unsupported grid format version {version} (expected {GRID_VERSION})")
-        if kind == GRID_KIND_DENSITY:
-            dtype, shape = np.dtype(np.float64), (ny, nz)
-        elif kind == GRID_KIND_COMPONENTS:
-            dtype, shape = np.dtype(np.complex128), (4, ny, nz)
-        else:
+        if kind not in _PAYLOADS:
             raise ValueError(f"unknown payload kind {kind}")
-        count = math.prod(shape)
+        parts, build = _PAYLOADS[kind]
+        parts = parts(ny, nz)
+        need = sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in parts)
         length = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if length != count * dtype.itemsize:
-            raise ValueError(
-                f"grid payload has {length} bytes, header {ny} x {nz} needs {count * dtype.itemsize}"
-            )
-        data = np.fromfile(fh, dtype=dtype, count=count)
-    if data.size != count:
-        raise ValueError(f"grid payload ended after {data.size} of {count} values")
+        if length != need:
+            raise ValueError(f"grid payload has {length} bytes, header {ny} x {nz} needs {need}")
+        # a factors payload is small whatever the grid it describes
+        if kind == GRID_KIND_FACTORS and ny * nz > MAX_GRID_POINTS:
+            raise GridTooLarge(f"grid of {ny} x {nz} points exceeds guard of {MAX_GRID_POINTS}")
+        arrays = []
+        for dtype, shape in parts:
+            data = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
+            if data.size != math.prod(shape):
+                raise ValueError(f"grid payload ended after {data.size} of {math.prod(shape)} values")
+            arrays.append(data.reshape(shape))
     info = {
         "version": version, "kind": kind, "ny": ny, "nz": nz,
         "dy": dy, "dz": dz, "y0": y0, "y_start": ystart, "z_start": zstart,
     }
-    return info, data.reshape(shape)
+    return info, build(*arrays)

@@ -12,7 +12,7 @@ import kleinb.selftest
 from kleinb import Spin, make_channel
 from kleinb.states import REGIMES
 from kleinb.cli import main
-from kleinb.scattering import _batch_kinematics, _evaluate, amplitudes_batch, solve_boundary_batch
+from kleinb.scattering import _evaluate, _mask_kinematics, _spin_up, amplitudes_batch, solve_boundary_batch
 from kleinb.selftest import (
     BLOCK_SIZE,
     DEFAULT_SEED,
@@ -177,7 +177,7 @@ def test_oracle_on_kept_kinematics_matches_public_solve(monkeypatch, param_grid,
     # those of solve_boundary_batch on the sub-grid's arrays, bit for bit
     grid = param_grid[{"full": slice(None), "slice": slice(5, 500, 3),
                        "mask": (param_grid.b > 0.3) | (param_grid.n % 2 == 1)}[index]]
-    k, _ = _batch_kinematics(*grid_arrays(grid))
+    k, _ = _mask_kinematics(grid.E, grid.V0, grid.b, grid.n, _spin_up(grid.spin))
     for name, kept, rebuilt in zip(k._fields, grid.kin, k):
         assert kept.dtype == rebuilt.dtype and np.array_equal(bits(kept), bits(rebuilt)), name
 

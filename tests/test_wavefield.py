@@ -22,9 +22,10 @@ from kleinb import (
     momentum_right,
     save_grid,
 )
+from kleinb import wavefield
 from kleinb.landau import eval_oscillator
 from kleinb.selftest import sample_params
-from kleinb.wavefield import GRID_BLOCK_BYTES, _pieces
+from kleinb.wavefield import GRID_KIND_COMPONENTS, GRID_KIND_FACTORS, MAX_GRID_POINTS, _pieces
 
 
 def reference_field(params, y, z, y0=0.0):
@@ -220,10 +221,10 @@ class TestFactorisedField:
             assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
 
     @pytest.mark.parametrize("ny, nz", [
-        (200, 1000),     # 65-row blocks: 65, 65, 65, 5
-        (2000, 64),      # 1024-row blocks: 1024, 976
-        (100_000, 1),    # 65536-row blocks: 65536, 34464
-        (3, 70_000),     # a row wider than the block: one row per block
+        (200, 1000),
+        (2000, 64),
+        (100_000, 1),    # one column
+        (3, 70_000),     # rows wider than 1 MiB
         (1, 1000),
         (1000, 1),
     ])
@@ -235,7 +236,7 @@ class TestFactorisedField:
             assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
 
     def test_components_writer_memory_bounded(self, tmp_path):
-        # one (1000, 1000) complex slab is 16 MB; the writer holds one block
+        # one (1000, 1000) complex slab is 16 MB; the writer writes the factors
         f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=1000, nz=1000)
         tracemalloc.start()
         try:
@@ -243,7 +244,7 @@ class TestFactorisedField:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * GRID_BLOCK_BYTES
+        assert peak < 256 << 10
 
     def test_factor_consumers_build_no_grid(self, tmp_path):
         for args in [(2.0, 6.0, 0.2, Spin.UP, 1), *SPECIAL_POINTS]:
@@ -403,9 +404,48 @@ class TestGridFiles:
         path = tmp_path / "comp.bin"
         save_grid(path, f, what="components")
         info, data = load_grid(path)
-        assert info["kind"] == 1
+        assert info["kind"] == GRID_KIND_FACTORS
         assert data.shape == (4, 24, 20)
         np.testing.assert_array_equal(data, f.values)
+
+    @pytest.mark.parametrize("ny, nz", [(24, 20), (1, 1000), (2000, 1)])
+    def test_components_stored_as_factors(self, tmp_path, ny, nz):
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=ny, nz=nz)
+        path = tmp_path / "comp.bin"
+        save_grid(path, f, what="components")
+        assert path.stat().st_size == 64 + 32 * ny + 64 * nz
+        assert load_grid(path)[0]["kind"] == GRID_KIND_FACTORS
+        assert "values" not in f.__dict__
+
+    def test_grid_components_file_still_read(self, tmp_path):
+        # a components file as written before the factors payload, the (4, ny, nz)
+        # grid, loads to the array save_grid's factors file of the field loads to
+        for args in [(2.0, 6.0, 0.2, Spin.UP, 1), *SPECIAL_POINTS]:
+            f = assemble_field(make_channel(*args), ny=24, nz=20, k_x=0.4)
+            grid, factors = tmp_path / "grid.bin", tmp_path / "factors.bin"
+            with open(grid, "wb") as fh:
+                fh.write(wavefield._HEADER.pack(
+                    b"KLBFIELD", 1, GRID_KIND_COMPONENTS, 24, 20, wavefield._spacing("y", f.y),
+                    wavefield._spacing("z", f.z), f.y0, f.y[0], f.z[0]))
+                f.values.tofile(fh)
+            save_grid(factors, f, what="components")
+            (info, data), (info_f, data_f) = load_grid(grid), load_grid(factors)
+            assert (info["kind"], info_f["kind"]) == (GRID_KIND_COMPONENTS, GRID_KIND_FACTORS)
+            assert {**info, "kind": 0} == {**info_f, "kind": 0}
+            assert data.shape == (4, 24, 20)
+            assert np.array_equal(data.view(np.int64), f.values.view(np.int64))
+            assert np.array_equal(data.view(np.int64), data_f.view(np.int64))
+
+    def test_factors_header_beyond_guard_rejected(self, tmp_path):
+        # 9.6 MB of factors would describe a 640 GB grid
+        ny = nz = 100_000
+        path = tmp_path / "huge.bin"
+        path.write_bytes(wavefield._HEADER.pack(
+            b"KLBFIELD", 1, GRID_KIND_FACTORS, ny, nz, 1.0, 1.0, 0.0, 0.0, 0.0))
+        with open(path, "ab") as fh:
+            fh.truncate(64 + 32 * ny + 64 * nz)
+        with pytest.raises(GridTooLarge, match=f"guard of {MAX_GRID_POINTS}"):
+            load_grid(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
