@@ -51,14 +51,13 @@ COMPTON_TIME_S = 1.2880886664441626e-21
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
 #: built.  The rows are evaluated and formatted CSV_CHUNK_LINES at a
-#: time, so a full-column sweep of MAX_CSV_ROWS rows peaked at 57 MiB RSS
-#: and took 1.5 to 2.3 s on a 2-core x86-64 host (30 MiB for one row;
-#: the rest is mostly the axis values), and a regime-map of as many
-#: cells peaked at 47 MiB.
+#: time, so a full-column sweep of MAX_CSV_ROWS rows peaked at 41 MiB RSS
+#: and took 0.8 s on a 2-core x86-64 host (31 MiB for one row), and a
+#: regime-map of as many cells peaked at 47 MiB.
 MAX_CSV_ROWS = 400_000
 
 #: Rows evaluated and formatted at a time by the sweep, and rows laid
-#: out at a time by the sweep and regime-map writers.
+#: out at a time by the sweep, regime-map and field slice writers.
 CSV_CHUNK_LINES = 4096
 
 #: Bytes of a row block (see _write_csv) written at a time, its NULs dropped.
@@ -361,9 +360,11 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _axis_values(args) -> list[float]:
+def _axis_values(args) -> np.ndarray:
+    """The sweep's axis values as one float array: --values as given, or
+    start + i * step for i < count (the start alone for count 1)."""
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = np.array([float(v) for v in args.values.split(",") if v.strip()])
         if not 1 <= len(values) <= MAX_CSV_ROWS:
             raise ValueError(f"sweep has {len(values)} values, not in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}]")
     elif args.start is None or args.stop is None:
@@ -371,14 +372,15 @@ def _axis_values(args) -> list[float]:
     elif not 1 <= args.count <= MAX_CSV_ROWS:
         raise ValueError(f"count must be in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}], got {args.count}")
     elif args.count == 1:
-        values = [args.start]
+        values = np.array([args.start])
     else:
         step = (args.stop - args.start) / (args.count - 1)
-        values = [args.start + i * step for i in range(args.count)]
+        values = args.start + np.arange(args.count) * step
     if args.axis == "n":
-        for v in values:
-            if not v.is_integer():
-                raise ValueError(f"n axis values must be integers, got {v!r}")
+        # the table's integer rule, which rejects nan and inf too
+        integral = LEVEL_RULES[0][0](SimpleNamespace(n=values))
+        if not integral.all():
+            raise ValueError(f"n axis values must be integers, got {float(values[np.argmin(integral)])!r}")
     return values
 
 
@@ -412,7 +414,7 @@ def _value_column(batch, name: str) -> np.ndarray:
     return getattr(batch, name)
 
 
-def _sweep_blocks(axis: str, values: list[float], fixed: dict, header: list[str]):
+def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str]):
     """Row blocks (see _write_csv) of the header's columns, one row per
     axis value, evaluated and formatted CSV_CHUNK_LINES rows at a time as
     they are read.
@@ -552,13 +554,18 @@ def cmd_field(args) -> int:
     save_grid(args.out, field, what=args.what)
     written = {"grid": args.out}
     if args.csv:
-        dens = field.density()
         row = int(np.argmin(np.abs(field.y - field.y0)))
-        density = _float_texts(dens[row])
-        density[:, 0] |= ord(",")
-        newline = np.full((len(density), 1), ord("\n"), _WORD)
+        columns = np.stack((field.z, field.density()[row]), axis=1)
+
+        def blocks():
+            for lo in range(0, len(columns), CSV_CHUNK_LINES):
+                cells = _float_texts(columns[lo:lo + CSV_CHUNK_LINES])
+                cells[:, 1, 0] |= ord(",")
+                newline = np.full((len(cells), 1), ord("\n"), _WORD)
+                yield np.concatenate((cells.reshape(len(cells), -1), newline), axis=1)
+
         with open(args.csv, "w", encoding="utf-8") as fh:
-            _write_csv(fh, "z,density", [np.concatenate((_float_texts(field.z), density, newline), axis=1)])
+            _write_csv(fh, "z,density", blocks())
         written["csv"] = args.csv
     emit_json({
         "regime": field.amps.regime.value,

@@ -443,20 +443,17 @@ def current_budget(params: ChannelParams) -> CurrentBudget:
 
 
 def _point_results(params: ChannelParams) -> tuple[ScatterAmplitudes, CurrentBudget]:
-    """amplitudes(params) and current_budget(params) from one evaluation
-    of the closed forms."""
+    """amplitudes(params) and current_budget(params): _evaluate on one point."""
     k = point_kinematics(params)
     if k.singular[0]:
         raise SingularStep(
             f"V0 = {params.V0:.17g} within tolerance of E + 1 = {params.E + 1.0:.17g}: "
             "kinematic factor diverges"
         )
-    forms = _closed_forms(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = _budget(k, *forms[:3])
-    R, Rp, T, Tp = forms[:, 0].tolist()
-    return (ScatterAmplitudes(R=R, Rp=Rp, T=T, Tp=Tp, regime=REGIMES[k.regime[0]]),
-            CurrentBudget(*(float(f[0]) for f in fractions)))
+    a = _evaluate(k, ())
+    return (ScatterAmplitudes(R=complex(a.R), Rp=complex(a.Rp), T=complex(a.T), Tp=complex(a.Tp),
+                              regime=REGIMES[a.regime]),
+            CurrentBudget(float(a.refl_same), float(a.refl_flip), float(a.trans_same), float(a.trans_flip)))
 
 
 def klein_limit(spin: Spin | str, n: int, E: float, b: float) -> tuple[float, float]:

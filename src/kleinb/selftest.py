@@ -7,9 +7,12 @@ conservation, agreement of the closed forms with the boundary-condition
 solve, the field-free reduction, the no-flip anchors, and the up/down
 symmetry of the budgets.  The grid, the spin mirror of its first tenth
 and the flip-scaling family are validated and evaluated as one batch,
-once per run.  A failing check names its worst point as a `kleinb amps`
-command line.  The seed comes from the KLEINB_SEED environment variable
-unless given explicitly.
+once per run, and every check reads that batch.  The one-point forms
+of the sampler and of the closed-form/solver comparison, which only the
+tests loop over, are in tests/_points.py.  A failing check names its
+worst point as a `kleinb amps` command line.
+The seed comes from the KLEINB_SEED environment variable unless given
+explicitly.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .scattering import (
     _boundary_solve,
     _evaluate,
     _mask_kinematics,
-    amplitudes,
-    solve_boundary_system,
 )
 from .states import EVANESCENT, ChannelParams, Spin, make_channel
 
@@ -96,14 +97,6 @@ def _draw_block(rng: np.random.Generator, size: int, n_max: int = 20) -> tuple[n
     # agreement bound cannot hold on the sliver
     keep = np.abs(e + 1.0 - v0) >= 2e-3 * (1.0 + v0)
     return e[keep], v0[keep], b[keep], n[keep], up[keep]
-
-
-def sample_params(rng: np.random.Generator, n_max: int = 20) -> ChannelParams:
-    """One random open channel, drawn by the rule of sample_grid."""
-    while True:
-        e, v0, b, n, up = _draw_block(rng, 1, n_max)
-        if e.size:
-            return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, int(n[0]))
 
 
 def _suite_points(points: int, seed: int | None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -226,14 +219,6 @@ def _deviation(closed: np.ndarray, solved: np.ndarray) -> np.ndarray:
     both of shape (4, N) holding (R, Rp, T, Tp)."""
     scale = np.maximum(1.0, np.abs(closed).max(axis=0))
     return np.abs(closed - solved).max(axis=0) / scale
-
-
-def amplitude_deviation(params: ChannelParams) -> float:
-    """Scaled max component difference between closed form and solver."""
-    a = amplitudes(params)
-    s = solve_boundary_system(params)
-    return float(_deviation(np.array([[a.R], [a.Rp], [a.T], [a.Tp]]),
-                            np.array([[s.R], [s.Rp], [s.T], [s.Tp]]))[0])
 
 
 def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:

@@ -32,13 +32,15 @@ from kleinb import (
     momentum_right,
 )
 from kleinb.cli import fmt, main
-from kleinb.selftest import amplitude_deviation, resolve_seed, sample_grid, sample_params
+from kleinb.selftest import resolve_seed, sample_grid
 from kleinb.wavefield import (
     ScatterAmplitudes,
     assemble_field,
     continuity_residual,
     integrated_current,
 )
+
+from _points import amplitude_deviation, sample_params
 
 
 def report(num, ok, desc, detail):

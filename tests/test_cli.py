@@ -265,6 +265,32 @@ class TestSweep:
         assert cells["axis_value"] == "6"
         assert float(cells["refl_flip"]) == amps_record(capsys, 2.0, 6.0, 0.2, 1, "up")["refl_flip"]
 
+    def test_range_axis_is_start_plus_i_step(self):
+        # the axis array holds the bits of the loop start + i * step: on fixed
+        # ranges up to MAX_CSV_ROWS values, then on 200 seeded random ones
+        rng = np.random.default_rng(2211)
+        ranges = [(1.5, 1e6, MAX_CSV_ROWS), (0.0, 8.0, 17), (6.0, -3.0, 7), (-0.0, 1e-300, 3),
+                  (0.1, 0.7, 1000), (1e-3, 1e50, 9), (2.0, 2.0, 5)]
+        ranges += [(*(rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-8.0, 8.0, 2)).tolist(),
+                    int(rng.integers(2, 3000))) for _ in range(200)]
+        for start, stop, count in ranges:
+            args = build_parser().parse_args([
+                "sweep", "--axis", "E", f"--start={start!r}", f"--stop={stop!r}", "--count", str(count)])
+            step = (stop - start) / (count - 1)
+            want = np.array([start + i * step for i in range(count)])
+            got = kleinb.cli._axis_values(args)
+            assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("values, bad", [
+        ("1,inf", "inf"), ("1,nan", "nan"), ("1,-inf", "-inf"), ("2,1.5,inf", "1.5"), ("1e300,0.5", "0.5"),
+    ])
+    def test_non_finite_n_axis_rejected(self, capsys, values, bad):
+        # the integer rule rejects nan and inf, which v == floor(v) alone would pass
+        code, out, err = run_cli(capsys, "sweep", "--axis", "n", f"--values={values}",
+                                 "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "up")
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: n axis values must be integers, got {bad}\n"
+
     def test_non_integral_n_axis_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--axis", "n", "--values", "1,1.4,1.6",
@@ -502,7 +528,7 @@ class TestCsvBytes:
                 lines.append(f"{fmt(e)},{fmt(v0)},{regime},{is_open}")
         assert out == "\n".join(lines) + "\n"
 
-    def test_field_slice(self, capsys, tmp_path):
+    def field_slice(self, capsys, tmp_path):
         out_csv = tmp_path / "slice.csv"
         code, _, err = run_cli(
             capsys, "field", "--E", "2", "--V0", "2.5", "--b", "0.3", "--n", "2", "--spin", "up",
@@ -514,6 +540,22 @@ class TestCsvBytes:
         row = int(np.argmin(np.abs(field.y - field.y0)))
         want = "z,density\n" + "".join(f"{fmt(z)},{fmt(d)}\n" for z, d in zip(field.z, dens[row]))
         assert out_csv.read_text() == want
+
+    def test_field_slice(self, capsys, tmp_path):
+        self.field_slice(capsys, tmp_path)
+
+    def test_field_slice_written_per_chunk(self, capsys, monkeypatch, tmp_path):
+        # with 3-line chunks the 41 rows are laid out in blocks of at most 3
+        # rows, and the bytes across block boundaries are unchanged
+        sizes, write_csv = [], kleinb.cli._write_csv
+
+        def counted(out, header, blocks):
+            write_csv(out, header, (sizes.append(len(block)) or block for block in blocks))
+
+        monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 3)
+        monkeypatch.setattr(kleinb.cli, "_write_csv", counted)
+        self.field_slice(capsys, tmp_path)
+        assert sizes == [3] * 13 + [2]
 
 
 def float_texts(x):

@@ -28,8 +28,10 @@ from kleinb import (
     solve_boundary_system,
 )
 from kleinb.scattering import kinematics, point_kinematics, spinor_table
-from kleinb.selftest import _deviation, amplitude_deviation, sample_grid
+from kleinb.selftest import _deviation, sample_grid
 from kleinb.states import EVANESCENT, REGIMES, channel_valid
+
+from _points import amplitude_deviation
 
 
 def kappa_reference(e, v0, b, n):
@@ -249,16 +251,19 @@ class TestSpinorTable:
 
 class TestScalarEvaluations:
     def test_closed_forms_evaluated_once_per_call(self, monkeypatch):
-        closed_forms, calls = kleinb.scattering._closed_forms, []
+        # a scalar call is the batch core's _evaluate on one point
+        closed_forms, evaluate, calls = kleinb.scattering._closed_forms, kleinb.scattering._evaluate, []
         monkeypatch.setattr(kleinb.scattering, "_closed_forms",
-                            lambda k: calls.append(k) or closed_forms(k))
+                            lambda k: calls.append("closed_forms") or closed_forms(k))
+        monkeypatch.setattr(kleinb.scattering, "_evaluate",
+                            lambda k, shape: calls.append("_evaluate") or evaluate(k, shape))
         points = [(2.0, 6.0, 0.2, Spin.UP, 1), (2.0, 2.0, 0.0, Spin.DOWN, 0),
                   (2.0, 2.0, 0.3, Spin.UP, 1)]
         for f in (amplitudes, current_budget):
             for point in points:
                 calls.clear()
                 f(make_channel(*point))
-                assert len(calls) == 1
+                assert calls == ["_evaluate", "closed_forms"]
             calls.clear()
             with pytest.raises(SingularStep):
                 f(make_channel(2.0, 3.0, 0.1, Spin.UP, 1))  # V0 = E + 1

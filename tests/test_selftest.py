@@ -27,8 +27,9 @@ from kleinb.selftest import (
     resolve_seed,
     run,
     sample_grid,
-    sample_params,
 )
+
+from _points import sample_params
 
 
 def grid_arrays(grid):

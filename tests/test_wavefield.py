@@ -24,8 +24,9 @@ from kleinb import (
 )
 from kleinb import wavefield
 from kleinb.landau import eval_oscillator
-from kleinb.selftest import sample_params
 from kleinb.wavefield import GRID_KIND_COMPONENTS, GRID_KIND_FACTORS, MAX_GRID_POINTS, _pieces
+
+from _points import sample_params
 
 
 def reference_field(params, y, z, y0=0.0):
