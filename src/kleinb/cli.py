@@ -551,11 +551,13 @@ def cmd_field(args) -> int:
         params, ny=args.ny, nz=args.nz, k_x=args.kx,
         y_halfwidth=args.y_halfwidth, z_halfwidth=args.z_halfwidth,
     )
-    save_grid(args.out, field, what=args.what)
+    payload = save_grid(args.out, field, what=args.what)
     written = {"grid": args.out}
     if args.csv:
+        # a density map just written is the map the slice is a row of
+        density = payload[0] if args.what == "density" else field.density()
         row = int(np.argmin(np.abs(field.y - field.y0)))
-        columns = np.stack((field.z, field.density()[row]), axis=1)
+        columns = np.stack((field.z, density[row]), axis=1)
 
         def blocks():
             for lo in range(0, len(columns), CSV_CHUNK_LINES):

@@ -848,6 +848,24 @@ class TestFieldCommand:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize("what", ["density", "components"])
+    def test_density_map_built_once(self, capsys, tmp_path, monkeypatch, what):
+        # the CSV slice of a density run is a row of the map save_grid wrote
+        calls, density = [], kleinb.wavefield.SpinorField.density
+
+        def counted(self):
+            calls.append(what)
+            return density(self)
+
+        monkeypatch.setattr(kleinb.wavefield.SpinorField, "density", counted)
+        code, _, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1", "--spin", "up",
+            "--what", what, "--ny", "64", "--nz", "48",
+            "--out", str(tmp_path / "d.bin"), "--csv", str(tmp_path / "d.csv"),
+        )
+        assert code == 0, err
+        assert calls == [what]
+
     def test_writes_grid_and_decaying_slice(self, capsys, tmp_path):
         out_bin = tmp_path / "f.bin"
         out_csv = tmp_path / "f.csv"

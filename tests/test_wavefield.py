@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import signal
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -390,7 +394,7 @@ class TestGridFiles:
         p = make_channel(2.0, 2.5, 0.3, Spin.UP, 2)
         f = assemble_field(p, ny=48, nz=40)
         path = tmp_path / "dens.bin"
-        save_grid(path, f, what="density")
+        payload = save_grid(path, f, what="density")
         assert path.stat().st_size == 64 + 48 * 40 * 8
         info, data = load_grid(path)
         assert (info["ny"], info["nz"]) == (48, 40)
@@ -398,16 +402,18 @@ class TestGridFiles:
         assert info["y_start"] == f.y[0] and info["z_start"] == f.z[0]
         assert info["dy"] == pytest.approx(f.y[1] - f.y[0])
         np.testing.assert_array_equal(data, f.density())
+        assert len(payload) == 1 and np.array_equal(data.view(np.int64), payload[0].view(np.int64))
 
     def test_components_round_trip(self, tmp_path):
         p = make_channel(2.0, 1.0, 0.2, Spin.DOWN, 1)
         f = assemble_field(p, ny=24, nz=20)
         path = tmp_path / "comp.bin"
-        save_grid(path, f, what="components")
+        payload = save_grid(path, f, what="components")
         info, data = load_grid(path)
         assert info["kind"] == GRID_KIND_FACTORS
         assert data.shape == (4, 24, 20)
         np.testing.assert_array_equal(data, f.values)
+        assert len(payload) == 2 and payload[0] is f.trans and payload[1] is f.profile
 
     @pytest.mark.parametrize("ny, nz", [(24, 20), (1, 1000), (2000, 1)])
     def test_components_stored_as_factors(self, tmp_path, ny, nz):
@@ -509,6 +515,143 @@ class TestGridFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="^unknown payload kind 7$"):
             load_grid(path)
+
+
+def random_factors(ny, nz, seed=0):
+    """Seeded (4, ny) float and (4, nz) complex factors with +0 and -0 entries."""
+    rng = np.random.default_rng([ny, nz, seed])
+    trans = rng.standard_normal((4, ny))
+    trans[:, ::7], trans[:, 3::11] = 0.0, -0.0
+    profile = rng.standard_normal((4, nz)) + 1j * rng.standard_normal((4, nz))
+    profile[:, ::5], profile[:, 2::13] = complex(0.0, -0.0), complex(-0.0, 0.0)
+    return trans, profile
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestOuterProduct:
+    """wavefield._outer fills (4, ny, nz) in row blocks, on at most one thread
+    per CPU, and must give the bits of the one broadcast product computed here."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("ny, nz", [
+        (1, 1),
+        (1, 100_000),
+        (100_000, 1),    # 400000 rows: 3 and 6 blocks leave remainders
+        (3, 70_000),     # 12 rows over 8 blocks
+        (1000, 1000),
+        (1001, 333),     # 4004 rows over 3 and 8 blocks
+        (182, 182),      # just above the inline limit: two blocks
+    ])
+    def test_bits_equal_broadcast_product(self, monkeypatch, cpus, ny, nz):
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: cpus)
+        trans, profile = random_factors(ny, nz)
+        want = trans[:, :, None] * profile[:, None, :]
+        assert same_bits(wavefield._outer(trans, profile), want)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_values_and_loaded_grid_equal_broadcast_product(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: cpus)
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=1000, nz=1000, k_x=0.4)
+        want = f.trans[:, :, None] * f.profile[:, None, :]
+        save_grid(tmp_path / "comp.bin", f, what="components")
+        assert same_bits(load_grid(tmp_path / "comp.bin")[1], want)
+        assert same_bits(f.values, want)
+
+    @pytest.mark.parametrize("ny, nz, cpus, pooled", [
+        (64, 64, 8, False), (128, 128, 8, False), (181, 181, 8, False), (1, 32767, 8, False),
+        (182, 182, 8, True), (1, 32768, 8, True),
+        (1000, 1000, 1, False),
+    ])
+    def test_small_grids_and_one_cpu_run_inline(self, monkeypatch, ny, nz, cpus, pooled):
+        # under 2 MiB of output, or on one CPU, is one block on the caller's thread
+        used, executor = [], wavefield._executor
+
+        def counted():
+            used.append(True)
+            return executor()
+
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(wavefield, "_executor", counted)
+        trans, profile = random_factors(ny, nz)
+        assert same_bits(wavefield._outer(trans, profile), trans[:, :, None] * profile[:, None, :])
+        assert bool(used) == pooled
+
+    @pytest.mark.parametrize("workers", ["never", "late"])
+    def test_caller_fills_every_block_no_worker_claimed(self, monkeypatch, workers):
+        # a worker that has not started when the caller runs out of free
+        # blocks must neither hold up the product nor touch it later
+        queued = []
+
+        class Queue:
+            def submit(self, fn, *args):
+                queued.append((fn, args))
+
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(wavefield, "_executor", Queue)
+        trans, profile = random_factors(700, 700)
+        want = trans[:, :, None] * profile[:, None, :]
+        got = wavefield._outer(trans, profile)
+        assert len(queued) == 2 and same_bits(got, want)
+        if workers == "late":
+            got[...] = 0.0
+            for fn, args in queued:
+                fn(*args)
+            assert not np.any(got)
+
+    @staticmethod
+    def worker_fills_a_block(monkeypatch, failing=None):
+        """Patch np.multiply so that the caller's first multiply waits until a
+        pool worker is inside one: the product then needs a worker that runs.
+        The thread named by failing raises BlockFailed from its multiplies."""
+        entered, multiply = threading.Event(), np.multiply
+
+        def paired(*args, **kwargs):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                entered.set()
+            elif not entered.wait(10):
+                raise AssertionError("no pool worker filled a block")
+            if failing == ("worker" if on_worker else "caller"):
+                raise BlockFailed(failing)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", paired)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_block_exception_raised_to_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 2)
+        trans, profile = random_factors(1000, 1000)
+        self.worker_fills_a_block(monkeypatch, failing)
+        with pytest.raises(BlockFailed, match=f"^{failing}$"):
+            wavefield._outer(trans, profile)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_gets_a_working_pool(self, monkeypatch):
+        # a child inherits the pool object but not its threads; without the
+        # at-fork hook no worker of the child's first pooled product runs
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 2)
+        trans, profile = random_factors(512, 512)
+        want = trans[:, :, None] * profile[:, None, :]
+        assert same_bits(wavefield._outer(trans, profile), want)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(10)
+                self.worker_fills_a_block(monkeypatch)
+                code = 0 if same_bits(wavefield._outer(trans, profile), want) else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, f"child status {status:#x}"
+
+
+class BlockFailed(Exception):
+    pass
 
 
 def test_random_fields_are_finite(seed):
