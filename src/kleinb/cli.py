@@ -376,11 +376,6 @@ def _axis_values(args) -> np.ndarray:
     else:
         step = (args.stop - args.start) / (args.count - 1)
         values = args.start + np.arange(args.count) * step
-    if args.axis == "n":
-        # the table's integer rule, which rejects nan and inf too
-        integral = LEVEL_RULES[0][0](SimpleNamespace(n=values))
-        if not integral.all():
-            raise ValueError(f"n axis values must be integers, got {float(values[np.argmin(integral)])!r}")
     return values
 
 

@@ -255,17 +255,16 @@ def level_floats(n) -> np.ndarray:
     """n (an int, a float, or an array or a sequence of them) as the float
     array channel_valid takes.  An int too large for a float becomes
     +-(MAX_LEVEL + 1), which the level rule rejects as it rejects n
-    itself.  A bool, alone, in a sequence or as a bool array, raises
-    InvalidSpinIndex, as make_channel does."""
+    itself.  A bool, str or bytes, alone, in a sequence or in an array,
+    raises InvalidSpinIndex, as make_channel does."""
     levels = np.asarray(n)
-    if levels.dtype == bool and levels.size:
-        check_rules(LEVEL_RULES, n=levels.flat[0].item(), up=False)
-    if levels.dtype == object or levels.dtype.kind in "iu" and not isinstance(n, np.ndarray):
-        # numpy takes a bool among Python ints as 0 or 1, and keeps an int beyond 64 bits as an object
+    if levels.dtype.kind in "bOUS" or levels.dtype.kind in "iu" and not isinstance(n, np.ndarray):
+        # numpy takes a bool among Python ints as 0 or 1, a number among texts
+        # as a text, and keeps an int beyond 64 bits as an object
         items = np.asarray(n, dtype=object)
-        bools = [x for x in items.flat if type(x) in (bool, np.bool_)]
-        if bools:
-            check_rules(LEVEL_RULES, n=bool(bools[0]), up=False)
+        for x in items.flat:
+            if isinstance(x, (bool, np.bool_, str, bytes)):
+                check_rules(LEVEL_RULES, n=x.item() if isinstance(x, np.generic) else x, up=False)
         if levels.dtype == object:
             levels = np.array([_level_float(x) for x in items.flat]).reshape(levels.shape)
     return levels.astype(float, copy=False)

@@ -25,6 +25,7 @@ import math
 import os
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,23 +88,21 @@ if hasattr(os, "register_at_fork"):  # no fork, and no such call, on Windows
 
 
 def _outer(trans: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """The (4, ny, nz) components trans x profile: SpinorField.values and a
-    loaded factors payload are this one product, so they agree bit for bit.
+    """The (4, ny, nz) components trans x profile, with the bits of
+    trans[:, :, None] * profile[:, None, :]: SpinorField.values and a
+    loaded factors payload are this one product.
 
-    The output is allocated once and filled in row blocks of its
-    (4 * ny, nz) view, each of about _BLOCK_BYTES and filled by one
-    elementwise multiply per component it spans, so the bits are those
-    of trans[:, :, None] * profile[:, None, :].  numpy releases the GIL
-    for the multiplies, so the blocks are filled on the process's CPUs
-    at once: at most one thread per CPU, each with at least _BLOCK_BYTES
-    of output.  A product under 2 MiB (181 x 181 or smaller), or on one
-    CPU, runs inline on the caller's thread.  Otherwise the caller and
-    the workers of a thread pool, created on first use, each claim blocks
-    one at a time, first from a stretch of their own, then from the
-    stretches of others; so the caller fills every block that no worker
-    has claimed, and waits only for blocks being filled, never for a
-    worker to start.  An exception in any block stops further claims
-    and is raised here, once no block is still being filled.
+    The output is filled in row blocks of its (4 * ny, nz) view, about
+    _BLOCK_BYTES each, by one multiply per component a block spans.
+    numpy releases the GIL for them, so up to one thread per CPU fills
+    blocks, each thread with at least _BLOCK_BYTES of output; a product
+    under 2 MiB (181 x 181), or on one CPU, runs inline.  Otherwise the
+    caller and the workers of a pool, created on first use, each take
+    blocks off the front of a stretch of their own, then off the back
+    of the longest stretch left.  When no block is left, the caller
+    cancels the workers not yet started and waits only for workers
+    already running.  An exception stops further claims; the caller's
+    own is raised first, else the first worker's.
     """
     ny, nz = trans.shape[1], profile.shape[1]
     out = np.empty((4, ny, nz), dtype=np.result_type(trans, profile))
@@ -122,49 +121,31 @@ def _outer(trans: np.ndarray, profile: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (nz * out.itemsize))  # rows per block
     count = -(-rows // step)
     threads = min(threads, count)
-    # thread t fills stretch t of the blocks from its front; a thread whose
-    # stretch is done takes blocks off the back of the longest stretch
-    # left, so that threads share pages only where two fills meet
-    stretches = [[count * t // threads, count * (t + 1) // threads] for t in range(threads)]
-    running, errors = 0, []
-    state = threading.Condition()
+    # threads share pages only where two stretches meet; a deque pop is
+    # atomic, so each block is claimed once
+    stretches = [deque(range(count * t // threads, count * (t + 1) // threads)) for t in range(threads)]
 
-    def work(own: list) -> None:
-        nonlocal running
-        while True:
-            with state:
-                if own[0] < own[1]:
-                    i = own[0]
-                    own[0] += 1
-                else:
-                    longest = max(stretches, key=lambda s: s[1] - s[0])
-                    if longest[0] == longest[1]:
-                        return
-                    longest[1] -= 1
-                    i = longest[1]
-                running += 1
-            error = None
-            try:
+    def work(own: deque) -> None:
+        try:
+            while any(stretches):
+                try:
+                    i = own.popleft() if own else max(stretches, key=len).pop()
+                except IndexError:  # emptied by another thread since looked at
+                    continue
                 fill(i * step, min(rows, (i + 1) * step))
-            except BaseException as exc:
-                error = exc
-            with state:
-                running -= 1
-                if error is not None:
-                    errors.append(error)
-                    for s in stretches:  # no block is claimed after a failure
-                        s[0] = s[1]
-                if not running:
-                    state.notify()
+        except BaseException:
+            for s in stretches:  # no block is claimed after a failure
+                s.clear()
+            raise
 
     pool = _executor()
-    for own in stretches[1:]:
-        pool.submit(work, own)
-    work(stretches[0])
-    with state:
-        state.wait_for(lambda: not running)
-    if errors:
-        raise errors[0]
+    workers = [pool.submit(work, own) for own in stretches[1:]]
+    try:
+        work(stretches[0])
+    finally:
+        errors = [w.exception() for w in workers if not w.cancel()]
+    for error in filter(None, errors):
+        raise error
     return out
 
 
@@ -196,12 +177,9 @@ class SpinorField:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        """The complex components, shape (4, ny, nz), built on first read.
-
-        The product is split in row blocks across the process's CPUs,
-        with the bits of the single-threaded product; grids under 2 MiB
-        (181 x 181) are built inline on the caller's thread.
-        """
+        """The complex components, shape (4, ny, nz), built on first read
+        by _outer: in row blocks across the CPUs, with the bits of the
+        single-threaded product."""
         return _outer(self.trans, self.profile)
 
     def density(self) -> np.ndarray:
@@ -315,16 +293,16 @@ def assemble_field(
     field's values, their outer product, are built when first read.
     Raises ValueError for a y or z that is not a
     finite non-empty 1-D array, for an ny or nz that is not an integer
-    >= 1 and for a non-finite guiding center, and GridTooLarge beyond
+    >= 1 and for a non-finite k_x L^2 (at every b), and GridTooLarge beyond
     the MAX_GRID_POINTS guard.
     """
     if amps is None:
         amps = amplitudes(params)
     b = params.field.b
     length = params.field.magnetic_length if b > 0.0 else 1.0
-    y0 = k_x * length * length if b > 0.0 else 0.0
-    if not math.isfinite(y0):
+    if not math.isfinite(k_x * length * length):
         raise ValueError(f"guiding center k_x L^2 must be finite, got k_x = {k_x}")
+    y0 = k_x * length * length if b > 0.0 else 0.0
     ny, nz = _count("ny", ny), _count("nz", nz)
     if y is not None:
         y = _axis("y", y)
@@ -455,10 +433,9 @@ def load_grid(path):
     Returns (info, array) where info is a dict of the header fields and
     array has shape (ny, nz) for a density payload or (4, ny, nz)
     complex128 for a components payload: a factors payload is rebuilt
-    by the product that builds SpinorField.values, equal to it bit for
-    bit (split across the process's CPUs like it, inline under 2 MiB),
-    and a (4, ny, nz) grid payload (GRID_KIND_COMPONENTS) is read as
-    stored.  Raises ValueError for a bad magic, a format version
+    by _outer, the product behind SpinorField.values, bit for bit equal
+    to it, and a (4, ny, nz) grid payload (GRID_KIND_COMPONENTS) is read
+    as stored.  Raises ValueError for a bad magic, a format version
     other than GRID_VERSION, an unknown payload kind, or a payload
     whose length does not match the header (checked against the file
     size before the payload is read), and GridTooLarge for a factors

@@ -281,28 +281,43 @@ class TestSweep:
             got = kleinb.cli._axis_values(args)
             assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @staticmethod
+    def n_axis_errors(capsys, values, spin):
+        """Sweep n over values; return the axis texts of the error rows.
+
+        Each value is one row that starts with it as %.17g.  An error row
+        has no regime and no values, and names InvalidSpinIndex.  Every
+        other row has the bytes of a sweep over the valid values alone.
+        """
+        fixed = ("--E", "2", "--V0", "1", "--b", "0.1", "--spin", spin)
+        code, out, err = run_cli(capsys, "sweep", "--axis", "n", f"--values={values}", *fixed)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["%.17g" % float(v) for v in values.split(",")]
+        errors = [row for row in rows if row.endswith(",InvalidSpinIndex")]
+        assert all(row.split(",", 1)[1] == "," * (len(SWEEP_VALUE_COLUMNS) + 1) + "InvalidSpinIndex"
+                   for row in errors)
+        valid = [row for row in rows if row not in errors]
+        if valid:
+            texts = ",".join(row.split(",")[0] for row in valid)
+            code, want, _ = run_cli(capsys, "sweep", "--axis", "n", f"--values={texts}", *fixed)
+            assert code == 0 and valid == want.splitlines()[1:]
+        return [row.split(",")[0] for row in errors]
+
     @pytest.mark.parametrize("values, bad", [
         ("1,inf", "inf"), ("1,nan", "nan"), ("1,-inf", "-inf"), ("2,1.5,inf", "1.5"), ("1e300,0.5", "0.5"),
     ])
     def test_non_finite_n_axis_rejected(self, capsys, values, bad):
-        # the integer rule rejects nan and inf, which v == floor(v) alone would pass
-        code, out, err = run_cli(capsys, "sweep", "--axis", "n", f"--values={values}",
-                                 "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "up")
-        assert (code, out) == (2, "")
-        assert err == f"error: ValueError: n axis values must be integers, got {bad}\n"
+        # the integer rule rejects nan and inf, which v == floor(v) alone would pass;
+        # each value it rejects is an error row, and the sweep goes on
+        errors = self.n_axis_errors(capsys, values, "up")
+        assert bad in errors
+        assert errors == ["%.17g" % float(v) for v in values.split(",") if v not in ("1", "2")]
 
     def test_non_integral_n_axis_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--axis", "n", "--values", "1,1.4,1.6",
-            "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "down",
-        )
-        assert code == 2 and out == ""
-        assert "1.4" in err
-        code, out, _ = run_cli(
-            capsys, "sweep", "--axis", "n", "--values", "1,2.0",
-            "--E", "2", "--V0", "1", "--b", "0.1", "--spin", "down",
-        )
-        assert code == 0 and len(out.strip().splitlines()) == 3
+        errors = self.n_axis_errors(capsys, "1,1.4,1.6", "down")
+        assert errors == ["1.3999999999999999", "1.6000000000000001"]
+        assert self.n_axis_errors(capsys, "1,2.0", "down") == []
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
@@ -905,6 +920,18 @@ class TestFieldCommand:
         )
         assert code == 2
         assert err.startswith("error: ValueError")
+        assert not out_bin.exists()
+
+    @pytest.mark.parametrize("kx", ["nan", "inf", "-inf"])
+    def test_non_finite_kx_exit_without_field(self, capsys, tmp_path, kx):
+        # at b = 0 the guiding center is 0 whatever k_x, but k_x is still checked
+        out_bin = tmp_path / "g.bin"
+        code, out, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", "0", "--n", "0",
+            "--spin", "down", "--csv", "", "--out", str(out_bin), f"--kx={kx}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: guiding center k_x L^2 must be finite, got k_x = {float(kx)}\n"
         assert not out_bin.exists()
 
 

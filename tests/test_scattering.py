@@ -619,3 +619,14 @@ class TestBatch:
         message = f"channel index n must be an integer, got {shown}"
         with pytest.raises(InvalidSpinIndex, match="^" + re.escape(message) + "$"):
             batch(2.0, 1.0, 0.1, n, "down")
+
+    @pytest.mark.parametrize("batch", [amplitudes_batch, solve_boundary_batch])
+    @pytest.mark.parametrize("n, shown", [
+        ("1", "'1'"), (b"1", "b'1'"), (["1", "2"], "'1'"), ([1, "2"], "'2'"), (np.array(["3"]), "'3'"),
+        (np.array([1, b"2"], dtype=object), "b'2'"), (np.str_("1"), "'1'"), ([[1, 2], ["3", 4]], "'3'"),
+    ])
+    def test_level_not_a_text(self, batch, n, shown):
+        # make_channel's integer rule: a str or bytes is not read as its number
+        message = f"channel index n must be an integer, got {shown}"
+        with pytest.raises(InvalidSpinIndex, match="^" + re.escape(message) + "$"):
+            batch(2.0, 6.0, 0.2, n, "up")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -314,6 +315,10 @@ class TestInputValidation:
         for k_x in (1e308, math.nan):
             with pytest.raises(ValueError, match="k_x"):
                 assemble_field(self.P, ny=8, nz=8, k_x=k_x)
+        # at b = 0 the guiding center is 0 whatever k_x, but k_x is still checked
+        for k_x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^guiding center k_x L\\^2 must be finite, got k_x = {k_x}$"):
+                assemble_field(make_channel(2.0, 6.0, 0.0, Spin.DOWN, 0), ny=8, nz=8, k_x=k_x)
 
 
 class TestContinuity:
@@ -588,6 +593,7 @@ class TestOuterProduct:
         class Queue:
             def submit(self, fn, *args):
                 queued.append((fn, args))
+                return concurrent.futures.Future()
 
         monkeypatch.setattr(wavefield, "_cpu_count", lambda: 3)
         monkeypatch.setattr(wavefield, "_executor", Queue)
@@ -619,6 +625,21 @@ class TestOuterProduct:
             return multiply(*args, **kwargs)
 
         monkeypatch.setattr(np, "multiply", paired)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    @pytest.mark.parametrize("ny, nz", [(1000, 1000), (1001, 333)])
+    def test_every_row_filled_once(self, monkeypatch, cpus, ny, nz):
+        # a block filled twice writes the same bits again: only a count sees it
+        filled, multiply = [], np.multiply
+
+        def counted(*args, **kwargs):
+            filled.append(kwargs["out"].shape[0])
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(np, "multiply", counted)
+        wavefield._outer(*random_factors(ny, nz))
+        assert sum(filled) == 4 * ny
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_block_exception_raised_to_caller(self, monkeypatch, failing):
