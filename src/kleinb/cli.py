@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -690,9 +691,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A word that starts with "-" and then a digit, ".", "inf" or "nan": a
+#: negative number, or a --values list that starts with one, which
+#: argparse would take for an option.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each "--opt WORD", WORD a negative number, written as
+    "--opt=WORD", the form in which argparse reads WORD as the value."""
+    out = []
+    for word in argv:
+        last = out[-1] if out else ""
+        if _NEGATIVE_NUMBER.match(word) and last.startswith("--") and "=" not in last and last != "--":
+            out[-1] = f"{last}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (KleinStepError, ValueError, OSError) as exc:

@@ -166,33 +166,34 @@ def point_kinematics(params: ChannelParams) -> Kinematics:
     )
 
 
-#: Inside |eps_bar| < NEAR_SINGULAR_FRACTION * (1 + V0) the amplitudes are
-#: evaluated with the common factor eps_bar cancelled analytically.
+#: Inside |eps_bar| < NEAR_SINGULAR_FRACTION * (1 + V0) the closed forms
+#: take R's numerator and their denominator in factored form.
 NEAR_SINGULAR_FRACTION = 1e-2
 
 
 def _closed_forms(k: Kinematics) -> np.ndarray:
-    """Closed-form amplitudes over the points of k, shape (4, N): R, Rp, T, Tp.
+    """R, Rp, T, Tp and 1 + R over the points of k, shape (5, N), by one division.
 
-    Product form of the amplitude formulas, with kappa eliminated
-    through cp*eps_bar*kappa = cq*eps: numerator and denominator of each
-    amplitude contain eps_bar only in products.  One complex code path
-    covers all three regimes; the regime enters only through the branch
-    of cq.
+    With a = cp eps_bar, g = cq eps and x = a + g (kappa eliminated
+    through cp eps_bar kappa = cq eps), the numerators a^2 - g^2 - C V0^2,
+    2 a rc V0, 2 w cp eps x, 2 w cp eps rc V0 and 2 a x share the
+    denominator x^2 + C V0^2, and one _cdiv gives the five quotients.
+    One complex code path covers all three regimes; the regime enters
+    only through the branch of cq.  For incoming spin-down the flip
+    amplitudes change sign.
 
-    Near V0 = E + 1 the products themselves suffer cancellation (both
-    numerator and denominator vanish linearly in eps_bar), so there the
-    common factor is removed analytically: with eps_bar = 1 + (E - V0)
-    and cq^2 = (E - V0)^2 - 1 - c,
-
-        numerator(R)   = eps_bar * s,  s = cp^2 eps_bar + eps^2 (2 - eps_bar) + c (eps + V0)
-        denominator    = eps_bar * k,  k = cp^2 eps_bar + 2 cp cq eps - eps^2 (2 - eps_bar) - c (eps + V0)
-
-    which keeps R and Rp (and the current budget) accurate to rounding
-    arbitrarily close to the singular slice.  T and Tp genuinely diverge
-    there like |eps_bar|^(-1/2); they stay relatively accurate.  Only the
-    points within NEAR_SINGULAR_FRACTION are evaluated again in this
-    form.  For incoming spin-down the flip amplitudes change sign.
+    R's numerator and the denominator vanish linearly in eps_bar at
+    V0 = E + 1, and as sums they cancel next to it.  With
+    Q = V0 (eps + C) and N = cp x, R's numerator is 2 eps_bar Q and
+    1 + R's is 2 a x = 2 eps_bar N, so the denominator, their
+    difference, is 2 eps_bar (N - Q): R = Q/(N - Q), 1 + R = N/(N - Q).
+    Within NEAR_SINGULAR_FRACTION of the slice R's numerator is taken
+    as that product and the denominator as that difference, which does
+    not cancel there.  That keeps R, Rp and the current budget accurate
+    to rounding arbitrarily close to the singular slice; T and Tp
+    genuinely diverge there like |eps_bar|^(-1/2) and stay relatively
+    accurate.  Elsewhere the sums are kept: they conserve current to
+    rounding at the regime thresholds, where cp^2 and cq^2 round.
 
     Products of two complex numbers with both parts nonzero are written
     out in real arithmetic and quotients go through _cdiv, so every
@@ -206,37 +207,31 @@ def _closed_forms(k: Kinematics) -> np.ndarray:
     x = a + g
     lead = k.w * 2.0 * cp * eps
     cv2 = c * V0 * V0
+    near = np.abs(eps_bar) < NEAR_SINGULAR_FRACTION * (1.0 + V0)
     d = _complex(x.real * x.real - x.imag * x.imag, x.real * x.imag + x.imag * x.real) + cv2
-    num = np.empty((4,) + x.shape, dtype=complex)
-    num[0] = a * a - g * g - cv2
+    num = np.empty((5,) + x.shape, dtype=complex)
+    num[0] = np.where(near, 2.0 * eps_bar * V0 * (eps + c), a * a - g * g - cv2)
     num[1] = 2.0 * a * rc * V0
     num[2] = lead * x
     num[3] = lead * rc * V0
-    amps = _cdiv(num, d)
-    near = np.flatnonzero(np.abs(eps_bar) < NEAR_SINGULAR_FRACTION * (1.0 + V0))
-    if near.size:
-        c, V0, cp, cq, eps, eps_bar, rc = (v[near] for v in (c, V0, cp, cq, eps, eps_bar, rc))
-        kk = cp * cp * eps_bar + 2.0 * cp * cq * eps - eps * eps * (2.0 - eps_bar) - c * (eps + V0)
-        num = num[:, near]
-        num[0] = cp * cp * eps_bar + eps * eps * (2.0 - eps_bar) + c * (eps + V0)
-        num[1] = 2.0 * cp * rc * V0
-        amps[:, near] = _cdiv(num, np.stack([kk, kk, eps_bar * kk, eps_bar * kk]))
+    num[4] = 2.0 * a * x
+    amps = _cdiv(num, np.where(near, num[4] - num[0], d))
     amps[1::2] = np.where(k.up, amps[1::2], -amps[1::2])
     return amps
 
 
-def _budget(k: Kinematics, R, Rp, T):
+def _budget(k: Kinematics, R, Rp, one_plus_R):
     """Current fractions (refl_same, refl_flip, trans_same, trans_flip).
 
-    trans_same = kappa*|1 + R|^2 takes 1 + R from the continuity relation
-    1 + R = T*eps_bar/(w*eps): as R -> -1 (large kappa, next to the
-    singular slice) 1.0 + R would cancel, T does not.
+    trans_same = kappa*|1 + R|^2 reads 1 + R from its own quotient in
+    _closed_forms: 1.0 + R would cancel as R -> -1 (large kappa, next to
+    the singular slice).
     """
     refl_same = _abs2(R)
     refl_flip = _abs2(Rp)
     evanescent = k.regime == EVANESCENT
     kappa = k.cq.real * k.eps / (k.cp * k.eps_bar)
-    trans_same = np.where(evanescent, 0.0, kappa * _abs2(T * (k.eps_bar / (k.w * k.eps))))
+    trans_same = np.where(evanescent, 0.0, kappa * _abs2(one_plus_R))
     trans_flip = np.where(evanescent, 0.0, kappa * refl_flip)
     return refl_same, refl_flip, trans_same, trans_flip
 
@@ -316,8 +311,8 @@ def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:
     """Closed forms and budgets over validated kinematics, reshaped to `shape`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         amps = _closed_forms(k)
-        budget = _budget(k, amps[0], amps[1], amps[2])
-    values = (*amps, *budget)
+        budget = _budget(k, amps[0], amps[1], amps[4])
+    values = (*amps[:4], *budget)
     if k.singular.any():
         values = (np.where(k.singular, np.nan, x) for x in values)
     values = (x.reshape(shape) for x in values)
@@ -434,8 +429,9 @@ def current_budget(params: ChannelParams) -> CurrentBudget:
 
     Transmitted fractions are the group-velocity-weighted fluxes
     kappa*|1+R|^2 and kappa*|Rp|^2, not |T|^2 and |Tp|^2: only the
-    weighted fluxes obey the conservation sum.  1 + R is evaluated as
-    T*eps_bar/(w*eps).  In the evanescent regime the transmitted
+    weighted fluxes obey the conservation sum.  1 + R is not formed as
+    1.0 + R: the closed forms divide a numerator of its own, so that it
+    stays accurate as R -> -1.  In the evanescent regime the transmitted
     fractions are exactly 0 and |R|^2 + |Rp|^2 = 1.  Raises
     SingularStep on the slice V0 = E + 1.
     """

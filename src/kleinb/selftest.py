@@ -67,7 +67,7 @@ BLOCK_SIZE = 1024
 #: mirror of its first tenth evaluated in its batch, and the spinor table
 #: the solve scales in place, with its right-hand sides, peak at ~0.75 KiB
 #: per point (tracemalloc), and run(MAX_SELFTEST_POINTS) peaked at
-#: 350 MiB RSS and took 1.3 to 2.1 s on a 2-core x86-64 host.
+#: 354 MiB RSS and took 0.9 to 1.2 s on a 2-core x86-64 host.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0

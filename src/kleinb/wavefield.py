@@ -149,7 +149,7 @@ def _outer(trans: np.ndarray, profile: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinorField:
     """Four complex components on a rectangular (y, z) grid, kept as factors.
 
@@ -161,7 +161,8 @@ class SpinorField:
     longitudinal profile ``profile``; ``ends`` holds, per component, the
     profile's one-sided limits at z -> 0- and z -> 0+ (shape (4, 2)).
     The (4, ny, nz) grid ``values`` = trans x profile is built the first
-    time it is read and then kept.  density, integrated_current,
+    time it is read and then kept.  The field is immutable, so the kept
+    grid always matches the factors.  density, integrated_current,
     boundary_values and save_grid work on the factors and never build
     it; load_grid rebuilds it from saved factors by the same product.
     """
@@ -269,6 +270,14 @@ def _axis(name: str, values) -> np.ndarray:
     return axis
 
 
+def _span(name: str, count: int, center: float, half: float) -> np.ndarray:
+    """count points over center +- half, checked as an explicit axis."""
+    if not (math.isfinite(half) and half > 0.0):
+        raise ValueError(f"{name} halfwidth must be finite and > 0, got {half}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _axis(name, np.linspace(center - half, center + half, count))
+
+
 def assemble_field(
     params: ChannelParams,
     amps: ScatterAmplitudes | None = None,
@@ -292,9 +301,11 @@ def assemble_field(
     factors and the (4, nz) longitudinal profile are computed; the
     field's values, their outer product, are built when first read.
     Raises ValueError for a y or z that is not a
-    finite non-empty 1-D array, for an ny or nz that is not an integer
-    >= 1 and for a non-finite k_x L^2 (at every b), and GridTooLarge beyond
-    the MAX_GRID_POINTS guard.
+    finite non-empty 1-D array, given or spanned from a halfwidth, for a
+    halfwidth that is not finite and > 0, for a z grid on which the
+    plane waves exp(i k_z z) leave the float range, for an ny or nz that
+    is not an integer >= 1 and for a non-finite k_x L^2 (at every b),
+    and GridTooLarge beyond the MAX_GRID_POINTS guard.
     """
     if amps is None:
         amps = amplitudes(params)
@@ -313,19 +324,16 @@ def assemble_field(
     if ny * nz > MAX_GRID_POINTS:
         raise GridTooLarge(f"grid of {ny} x {nz} points exceeds guard of {MAX_GRID_POINTS}")
     if y is None:
-        half = y_halfwidth if y_halfwidth is not None else (
-            math.sqrt(2.0 * params.n + 1.0) + 6.0) * length
-        if not (math.isfinite(half) and half > 0.0):
-            raise ValueError(f"y halfwidth must be finite and > 0, got {half}")
-        y = _axis("y", np.linspace(y0 - half, y0 + half, ny))
+        y = _span("y", ny, y0, y_halfwidth if y_halfwidth is not None else (
+            math.sqrt(2.0 * params.n + 1.0) + 6.0) * length)
     if z is None:
-        lam = 2.0 * math.pi / momentum_left(params)
-        half = z_halfwidth if z_halfwidth is not None else 10.0 * lam
-        if not (math.isfinite(half) and half > 0.0):
-            raise ValueError(f"z halfwidth must be finite and > 0, got {half}")
-        z = np.linspace(-half, half, nz)
-
-    profile, ends = _profile(params, amps, z)
+        z = _span("z", nz, 0.0, z_halfwidth if z_halfwidth is not None else (
+            10.0 * (2.0 * math.pi / momentum_left(params))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile, ends = _profile(params, amps, z)
+    if not np.all(np.isfinite(profile)):
+        raise ValueError(f"longitudinal profile is not finite on the z grid: k_z z leaves "
+                         f"the float range (|z| up to {np.abs(z).max():.17g})")
     return SpinorField(y=y, z=z, trans=_transverse(params, y, y0), profile=profile,
                        ends=ends, y0=y0, params=params, amps=amps)
 

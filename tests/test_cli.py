@@ -935,6 +935,62 @@ class TestFieldCommand:
         assert not out_bin.exists()
 
 
+    @pytest.mark.parametrize("b", ["0.2", "0"])
+    @pytest.mark.parametrize("flag", ["--z-halfwidth=1e308", "--z-halfwidth=8e307", "--y-halfwidth=1e308"])
+    def test_overflowing_span_exit_without_files(self, capsys, tmp_path, b, flag):
+        # nan and inf cells were written with exit 0; RuntimeWarnings are errors here
+        out_bin, out_csv = tmp_path / "g.bin", tmp_path / "g.csv"
+        code, out, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", b, "--n", "1", "--spin", "up",
+            "--ny", "3", "--nz", "4", flag, "--out", str(out_bin), "--csv", str(out_csv),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert not out_bin.exists() and not out_csv.exists()
+
+
+class TestNegativeValues:
+    """An option's value may be a negative number in any form float() reads."""
+
+    def test_negative_step_height(self, capsys):
+        code, out, err = run_cli(capsys, "amps", "--E", "2", "--V0", "-1e3", "--b", "0.1",
+                                 "--n", "1", "--spin", "up")
+        assert (code, out, err) == (2, "", "error: ValueError: step height must be >= 0, got -1000.0\n")
+
+    def test_negative_kx(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1",
+                               "--spin", "up", "--ny", "3", "--nz", "4", "--kx", "-1e-3",
+                               "--out", str(tmp_path / "g.bin"), "--csv", "")
+        assert code == 0
+        field = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=3, nz=4, k_x=-1e-3)
+        assert json.loads(out)["y0"] == field.y0 < 0.0
+
+    def test_negative_infinite_kx(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1",
+                                 "--spin", "up", "--kx", "-inf", "--out", str(tmp_path / "g.bin"),
+                                 "--csv", "")
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: guiding center k_x L^2 must be finite, got k_x = -inf\n"
+        assert not (tmp_path / "g.bin").exists()
+
+    def test_negative_sweep_values(self, capsys):
+        fixed = ("--E", "2", "--b", "0.1", "--n", "1", "--spin", "up", "--columns", "sum")
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "V0", "--values", "-1,2", *fixed)
+        assert code == 0
+        assert out.splitlines()[1] == "-1,,,ValueError"
+        assert run_cli(capsys, "sweep", "--axis", "V0", "--values=-1,2", *fixed) == (0, out, "")
+
+    @pytest.mark.parametrize("word", ["-1e3", "-.5", "-0", "-7", "-inf", "-Infinity", "-NaN", "-1,2"])
+    def test_attached_as_option_value(self, word):
+        argv = ["sweep", "--axis", "V0", "--values", word, "--V0", word]
+        assert kleinb.cli._attach_negative_values(argv) == [
+            "sweep", "--axis", "V0", f"--values={word}", f"--V0={word}"]
+
+    def test_other_words_kept(self):
+        argv = ["amps", "--E=-1", "-2", "-h", "--V0", "-x", "--", "-3", "--b", "--n", "-"]
+        assert kleinb.cli._attach_negative_values(argv) == argv
+
+
 class TestKleinLimitCommand:
     def test_field_free_anchor(self, capsys):
         code, out, _ = run_cli(capsys, "klein-limit", "--b", "0",

@@ -27,7 +27,7 @@ from kleinb import (
     solve_boundary_batch,
     solve_boundary_system,
 )
-from kleinb.scattering import kinematics, point_kinematics, spinor_table
+from kleinb.scattering import NEAR_SINGULAR_FRACTION, kinematics, point_kinematics, spinor_table
 from kleinb.selftest import _deviation, sample_grid
 from kleinb.states import EVANESCENT, REGIMES, channel_valid
 
@@ -247,6 +247,127 @@ class TestSpinorTable:
         up = kinematics(k.E, k.V0, k.C, np.ones_like(k.up))._replace(cp=-k.cp, cq=-k.cq)
         mirrored = spinor_table(up)[:, [1, 0, 3, 2], :]
         assert np.array_equal(spinor_table(k)[down], mirrored[down])
+
+
+def closed_form_strata(rng, size):
+    """Seeded channels in four strata of `size` points: the bulk, 5 % or
+    more off V0 = E + 1, and the band |E + 1 - V0| < 0.01 (1 + V0), each
+    at C = 2 b n > 0 and at C = 0 (b = 0, or the lowest state at b > 0).
+    5 % or more off the regime thresholds, except at C = 0 in the band,
+    where the threshold is the slice itself.  E lies on a 2^-40 grid, so
+    that eps = E + 1 and eps_bar = eps - V0 are exact in float.  Arrays
+    (E, V0, b, n, up)."""
+    strata = []
+    for band in (False, True):
+        for flat in (False, True):
+            draws = 40 * size
+            b = rng.uniform(0.05, 1.0, draws)
+            n = rng.integers(1, 21, draws)
+            if flat:
+                b = np.where(rng.random(draws) < 0.5, 0.0, b)
+                n = np.where(b > 0.0, 0, n)
+            up = (n > 0) & (rng.random(draws) < 0.5)
+            m = np.sqrt(1.0 + 2.0 * b * n)
+            E = np.round(m * (1.0 + 10.0 ** rng.uniform(-1.0, 0.7, draws)) * 2.0 ** 40) / 2.0 ** 40
+            if band:
+                delta = rng.choice([-1.0, 1.0], draws) * 10.0 ** rng.uniform(-11.0, -2.3, draws)
+                V0 = (E + 1.0) * (1.0 + delta)
+            else:
+                V0 = E * 10.0 ** rng.uniform(-2.0, 1.0, draws)
+            gap = np.abs(E + 1.0 - V0) / (1.0 + V0)
+            off = (np.abs(np.abs(E - V0) - m) > 0.05 * m) | (band and flat)
+            keep = off & ((gap < NEAR_SINGULAR_FRACTION) if band else (gap > 0.05))
+            strata.append([x[keep][:size] for x in (E, V0, b, n, up)])
+            assert strata[-1][0].size == size
+    return tuple(np.concatenate(col) for col in zip(*strata))
+
+
+def closed_form_reference(E, V0, b, n, up):
+    """(T, Tp, trans_same) by the closed-form formulas at 50 digits, the
+    float inputs and C = 2 b n, as the batch has it, taken as exact."""
+    with mpmath.workdps(50):
+        E, V0, C = (mpmath.mpf(float(x)) for x in (E, V0, 2.0 * b * n))
+        eps, eps_bar, ebar = E + 1, E + 1 - V0, E - V0
+        cp = mpmath.sqrt(E * E - 1 - C)
+        q2 = ebar * ebar - 1 - C
+        cq = mpmath.sign(ebar) * mpmath.sqrt(q2) if q2 > 0 else 1j * mpmath.sqrt(-q2)
+        x = cp * eps_bar + cq * eps
+        d = x * x + C * V0 * V0
+        scale = 2 * mpmath.sqrt(abs(eps_bar * ebar) / (eps * E)) * cp * eps / d
+        kappa = mpmath.re(cq) * eps / (cp * eps_bar)
+        one_plus_R = 2 * cp * eps_bar * x / d
+        return scale * x, (1 if up else -1) * scale * mpmath.sqrt(C) * V0, kappa * abs(one_plus_R) ** 2
+
+
+def _zero_signs(z):
+    """'+' or '-' per signed zero of (z.real, z.imag), '.' per nonzero part."""
+    return "".join("." if x != 0.0 else "-+"[math.copysign(1.0, x) > 0] for x in (z.real, z.imag))
+
+
+#: Signed zeros of (R, Rp, T, Tp), real and imaginary parts, at C = 0 by
+#: incoming spin and E, for V0 = 0, (E - 1)/2, E - 1, E, E + 0.5,
+#: E + 1.5, 2E + 10 and 1e6: every regime, its thresholds and E = V0.
+SIGNED_ZEROS = {
+    ("down", 1.5): "++--.+-- .+--.+-- .+--.+-- ..-++--+ ..++..++ .+--.+-- .+--.+-- .+--.+--",
+    ("down", 2.0): "++--.+-- .+--.+-- .+--.+-- ..-++--+ ..++..++ .+--.+-- .+--.+-- .+--.+--",
+    ("down", 7.0): "++--.+-- .+--.+-- .+--.+-- ..-++--+ ..-+..-+ .+--.+-- .+--.+-- .+--.+--",
+    ("up", 1.5): "++++.+++ .+++.+++ .+++.+++ ..+-+-+- ..--..-- .+++.+++ .+++.+++ .+++.+++",
+    ("up", 2.0): "++++.+++ .+++.+++ .+++.+++ ..+-+-+- ..--..-- .+++.+++ .+++.+++ .+++.+++",
+    ("up", 7.0): "++++.+++ .+++.+++ .+++.+++ ..+-+-+- ..+-..+- .+++.+++ .+++.+++ .+++.+++",
+}
+
+
+class TestClosedForms:
+    def test_one_division_per_evaluation(self, monkeypatch):
+        # the band next to V0 = E + 1 takes other factors, not a second division
+        cdiv, calls = kleinb.scattering._cdiv, []
+        monkeypatch.setattr(kleinb.scattering, "_cdiv",
+                            lambda num, den: calls.append(num.shape) or cdiv(num, den))
+        V0 = np.array([0.5, 6.0, 3.0 * (1.0 + 1e-3), 3.0 * (1.0 - 1e-9), 3.0])
+        batch = amplitudes_batch(2.0, V0, 0.2, 1, "up")
+        assert calls == [(5, 5)]
+        assert batch.singular.tolist() == [False] * 4 + [True]
+        near = np.abs(3.0 - V0) < NEAR_SINGULAR_FRACTION * (1.0 + V0)
+        assert near.tolist() == [False, False, True, True, True]
+        calls.clear()
+        current_budget(make_channel(2.0, 3.0 * (1.0 + 1e-3), 0.2, Spin.UP, 1))
+        assert calls == [(5, 1)]
+
+    @pytest.mark.parametrize("b, spin, n", [(0.0, "down", 0), (0.0, "up", 1), (0.0, "down", 3),
+                                            (0.4, "down", 0)])
+    @pytest.mark.parametrize("e", [1.5, 2.0, 7.0])
+    def test_signed_zeros(self, b, spin, n, e):
+        v0s = [0.0, 0.5 * (e - 1.0), e - 1.0, e, e + 0.5, e + 1.5, 2.0 * e + 10.0, 1e6]
+        batch = amplitudes_batch(e, v0s, b, n, spin)
+        assert batch.regime.tolist() == [1, 1, 2, 2, 2, 0, 0, 0]
+        signs = []
+        for i, v0 in enumerate(v0s):
+            a = amplitudes(make_channel(e, v0, b, spin, n))
+            signs.append("".join(_zero_signs(z) for z in (a.R, a.Rp, a.T, a.Tp)))
+            assert signs[-1] == "".join(_zero_signs(getattr(batch, f)[i]) for f in ("R", "Rp", "T", "Tp"))
+        assert " ".join(signs) == SIGNED_ZEROS[spin, e]
+
+    def test_transmitted_against_extended_precision(self, seed):
+        # T, Tp and trans_same to a few units of roundoff u, inside the
+        # band and out, at C > 0 and at C = 0 (where Tp is exactly 0)
+        E, V0, b, n, up = closed_form_strata(np.random.default_rng([seed, 29]), 50)
+        batch = amplitudes_batch(E, V0, b, n, np.where(up, "up", "down"))
+        u = 2.0 ** -53
+        flat = 2.0 * b * n == 0.0
+        evanescent = batch.regime == EVANESCENT
+        assert flat.any() and (~flat).any() and (evanescent & flat).any() and (~evanescent).any()
+        assert np.all(batch.Tp[flat] == 0.0) and np.all(batch.trans_same[evanescent] == 0.0)
+        worst = {"T": 0.0, "Tp": 0.0, "trans_same": 0.0}
+        for i, point in enumerate(zip(E, V0, b, n, up)):
+            exact = dict(zip(worst, closed_form_reference(*point)))
+            if flat[i]:
+                del exact["Tp"]
+            if evanescent[i]:
+                del exact["trans_same"]
+            for name, value in exact.items():
+                got = mpmath.mpmathify(complex(getattr(batch, name)[i]))
+                worst[name] = max(worst[name], float(abs(got - value) / abs(value)) / u)
+        assert worst["T"] <= 16.0 and worst["Tp"] <= 16.0 and worst["trans_same"] <= 24.0, worst
 
 
 class TestScalarEvaluations:

@@ -6,7 +6,7 @@ import signal
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -264,6 +264,17 @@ class TestFactorisedField:
             assert "values" not in f.__dict__
             assert f.values is f.values  # built once, then kept
 
+    def test_field_is_frozen(self):
+        # the kept grid is the product of the factors it was built from
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=8, nz=6)
+        values = f.values
+        for name, value in [("trans", f.trans[:, ::-1]), ("profile", f.profile * 2.0),
+                            ("values", None), ("y0", 1.0)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, value)
+        assert f.values is values
+        assert np.array_equal(values, f.trans[:, :, None] * f.profile[:, None, :])
+
     def test_current_temporaries_bounded(self):
         f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=500, nz=500)
         tracemalloc.start()
@@ -310,6 +321,25 @@ class TestInputValidation:
         message = f"{axis} halfwidth must be finite and > 0, got {half}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             assemble_field(self.P, ny=8, nz=8, **{f"{axis}_halfwidth": half})
+
+    @pytest.mark.parametrize("b", [0.2, 0.0])
+    @pytest.mark.parametrize("halfwidth, message", [
+        ({"z_halfwidth": 1e308}, "^z must be a finite"),    # z's span 2e308 overflows
+        ({"y_halfwidth": 1e308}, "^y must be a finite"),
+        ({"z_halfwidth": 8e307}, "^longitudinal profile is not finite on the z grid"),  # k_z z overflows
+    ])
+    def test_overflowing_spans_rejected(self, b, halfwidth, message):
+        # RuntimeWarnings are errors in this suite: none may be emitted on the way
+        with pytest.raises(ValueError, match=message):
+            assemble_field(make_channel(2.0, 6.0, b, Spin.UP, 1), ny=3, nz=4, **halfwidth)
+
+    @pytest.mark.parametrize("z", [[-1.5e308, 0.0, 1.0], [-1.7e308]])
+    def test_profile_beyond_float_range_rejected(self, z):
+        # cp z overflows on the incident side, cp = 1.6
+        with pytest.raises(ValueError, match="^longitudinal profile is not finite on the z grid"):
+            assemble_field(self.P, z=np.array(z), ny=3)
+        # the evanescent side decays to 0 at any finite z
+        assert np.isfinite(assemble_field(self.P, z=np.array([0.0, 1.7e308]), ny=3).profile).all()
 
     def test_guiding_center_overflow_rejected(self):
         for k_x in (1e308, math.nan):
