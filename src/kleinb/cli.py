@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import re
 import sys
@@ -290,7 +291,7 @@ def _float_texts(x, out=None) -> np.ndarray:
 
 def _json_value(v) -> str:
     if isinstance(v, str):
-        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+        return json.dumps(v, ensure_ascii=False)
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
@@ -298,7 +299,7 @@ def _json_value(v) -> str:
     if isinstance(v, complex):
         return '{"re": %s, "im": %s}' % (fmt(v.real), fmt(v.imag))
     if isinstance(v, dict):
-        return "{%s}" % ", ".join('"%s": %s' % (k, _json_value(u)) for k, u in v.items())
+        return "{%s}" % ", ".join("%s: %s" % (_json_value(k), _json_value(u)) for k, u in v.items())
     raise TypeError(f"cannot serialize {type(v)}")
 
 

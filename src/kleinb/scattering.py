@@ -236,6 +236,13 @@ def _budget(k: Kinematics, R, Rp, one_plus_R):
     return refl_same, refl_flip, trans_same, trans_flip
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of array, whose own flags stay as they are."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class BatchAmplitudes:
     """Amplitudes and current budgets of many channels, as arrays.
@@ -244,7 +251,9 @@ class BatchAmplitudes:
     amplitudes_batch.  regime holds indices into states.REGIMES.  Points
     flagged in singular lie within SINGULAR_TOL of V0 = E + 1, where the
     scalar functions raise SingularStep; their amplitudes and fractions
-    are NaN.
+    are NaN.  The arrays of amplitudes_batch's result and of a selftest
+    grid are read-only (see _frozen): a write into one would leave the
+    fields computed from it stale.
     """
 
     regime: np.ndarray
@@ -261,6 +270,13 @@ class BatchAmplitudes:
     @property
     def sum(self) -> np.ndarray:
         return self.refl_same + self.refl_flip + self.trans_same + self.trans_flip
+
+
+def _frozen(batch: BatchAmplitudes) -> BatchAmplitudes:
+    """batch with read-only views of its arrays.  Only the public batch
+    results are frozen: the scalar functions read _evaluate's batch once
+    and pay nothing for it."""
+    return BatchAmplitudes(*map(_read_only, vars(batch).values()))
 
 
 def _spin_up(spin) -> np.ndarray:
@@ -304,7 +320,7 @@ def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
     scalar amplitudes and current_budget return the same numbers bit for
     bit.
     """
-    return _evaluate(*_mask_kinematics(E, V0, b, n, _spin_up(spin)))
+    return _frozen(_evaluate(*_mask_kinematics(E, V0, b, n, _spin_up(spin))))
 
 
 def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:

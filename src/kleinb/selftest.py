@@ -8,9 +8,9 @@ solve, the field-free reduction, the no-flip anchors, and the up/down
 symmetry of the budgets.  The grid, the spin mirror of its first tenth
 and the flip-scaling family are validated and evaluated as one batch,
 once per run, and every check reads that batch.  The one-point forms
-of the sampler and of the closed-form/solver comparison, which only the
-tests loop over, are in tests/_points.py.  A failing check names its
-worst point as a `kleinb amps` command line.
+of the sampler, of the grid's points and of the closed-form/solver
+comparison, which only the tests loop over, are in tests/_points.py.
+A failing check names its worst point as a `kleinb amps` command line.
 The seed comes from the KLEINB_SEED environment variable unless given
 explicitly.
 """
@@ -18,7 +18,6 @@ explicitly.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,9 +27,10 @@ from .scattering import (
     Kinematics,
     _boundary_solve,
     _evaluate,
+    _frozen,
     _mask_kinematics,
 )
-from .states import EVANESCENT, ChannelParams, Spin, make_channel
+from .states import EVANESCENT, Spin
 
 DEFAULT_SEED = 20240913
 SEED_ENV_VAR = "KLEINB_SEED"
@@ -156,8 +156,8 @@ class GridBatch:
     """A parameter grid as arrays, with its validated kinematics and its
     closed-form amplitudes and budgets, each evaluated once.
 
-    Indexing with a slice or mask gives a sub-grid without re-evaluating;
-    iterating yields each point as validated ChannelParams.
+    Indexing with a slice or mask gives a sub-grid without re-evaluating.
+    The amplitudes are read-only.
     """
 
     E: np.ndarray
@@ -168,6 +168,9 @@ class GridBatch:
     amps: BatchAmplitudes
     kin: Kinematics
 
+    def __post_init__(self):
+        object.__setattr__(self, "amps", _frozen(self.amps))
+
     def __len__(self) -> int:
         return self.E.size
 
@@ -176,10 +179,6 @@ class GridBatch:
         amps = BatchAmplitudes(*(getattr(a, f.name)[index] for f in fields(a)))
         return GridBatch(self.E[index], self.V0[index], self.b[index], self.n[index],
                          self.spin[index], amps, Kinematics(*(x[index] for x in self.kin)))
-
-    def __iter__(self) -> Iterator[ChannelParams]:
-        for i in range(len(self)):
-            yield make_channel(self.E[i], self.V0[i], self.b[i], self.spin[i], int(self.n[i]))
 
     def reproducer(self, i: int) -> str:
         """A `kleinb amps` command line that recomputes point i bit for bit."""

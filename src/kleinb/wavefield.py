@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GridTooLarge
 from .landau import _oscillator_pair, momentum_left
-from .scattering import ScatterAmplitudes, amplitudes, point_kinematics, spinor_table
+from .scattering import ScatterAmplitudes, _read_only, amplitudes, point_kinematics, spinor_table
 from .states import ChannelParams
 
 #: Resource guard: ny * nz may not exceed this.
@@ -161,10 +161,12 @@ class SpinorField:
     longitudinal profile ``profile``; ``ends`` holds, per component, the
     profile's one-sided limits at z -> 0- and z -> 0+ (shape (4, 2)).
     The (4, ny, nz) grid ``values`` = trans x profile is built the first
-    time it is read and then kept.  The field is immutable, so the kept
-    grid always matches the factors.  density, integrated_current,
-    boundary_values and save_grid work on the factors and never build
-    it; load_grid rebuilds it from saved factors by the same product.
+    time it is read and then kept.  The field is immutable: it holds
+    read-only views of the arrays it is given, and the kept grid is
+    read-only, so the kept grid always matches the factors.  density,
+    integrated_current, boundary_values and save_grid work on the
+    factors and never build it; load_grid rebuilds it from saved factors
+    by the same product.
     """
 
     y: np.ndarray
@@ -176,12 +178,18 @@ class SpinorField:
     params: ChannelParams
     amps: ScatterAmplitudes
 
+    def __post_init__(self):
+        for name in ("y", "z", "trans", "profile", "ends"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The complex components, shape (4, ny, nz), built on first read
         by _outer: in row blocks across the CPUs, with the bits of the
         single-threaded product."""
-        return _outer(self.trans, self.profile)
+        values = _outer(self.trans, self.profile)
+        values.flags.writeable = False
+        return values
 
     def density(self) -> np.ndarray:
         """Probability density sum_i |psi_i|^2, shape (ny, nz).
@@ -264,7 +272,7 @@ def _count(name: str, value) -> int:
 
 
 def _axis(name: str, values) -> np.ndarray:
-    axis = np.asarray(values, dtype=float)
+    axis = np.array(values, dtype=float)  # a copy: the field's is read-only, the caller's not
     if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis)):
         raise ValueError(f"{name} must be a finite non-empty 1-D array")
     return axis
@@ -296,10 +304,11 @@ def assemble_field(
     (L = 1 Compton length at b = 0), so that the transverse integrals of
     integrated_current are not truncated; z spans +- 10 de Broglie
     wavelengths of the incident wave; 512 x 512 points.
-    Explicit y, z arrays override the spans and the counts.  The guiding
-    center is y0 = k_x L^2 (0 at b = 0).  Only the (4, ny) transverse
-    factors and the (4, nz) longitudinal profile are computed; the
-    field's values, their outer product, are built when first read.
+    Explicit y, z arrays override the spans and the counts; the field
+    keeps copies of them.  The guiding center is y0 = k_x L^2 (0 at
+    b = 0).  Only the (4, ny) transverse factors and the (4, nz)
+    longitudinal profile are computed; the field's values, their outer
+    product, are built when first read.
     Raises ValueError for a y or z that is not a
     finite non-empty 1-D array, given or spanned from a halfwidth, for a
     halfwidth that is not finite and > 0, for a z grid on which the

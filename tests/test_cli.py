@@ -28,6 +28,8 @@ from kleinb import (
 )
 from kleinb.cli import MAX_CSV_ROWS, SWEEP_VALUE_COLUMNS, build_parser, fmt, main
 
+import _reference as reference
+
 
 EMPTY_VALUES = f"sweep has 0 values, not in [1, MAX_CSV_ROWS = {MAX_CSV_ROWS}]"
 
@@ -911,6 +913,18 @@ class TestFieldCommand:
         info, data = load_grid(out_bin)
         assert data.shape == (4, 32, 16)
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\x01"])
+    def test_control_characters_in_paths(self, capsys, tmp_path, char):
+        # printed raw they made the record invalid JSON
+        out_bin, out_csv = tmp_path / f"a{char}b.bin", tmp_path / f"a{char}b.csv"
+        code, out, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1", "--spin", "up",
+            "--ny", "3", "--nz", "4", "--out", str(out_bin), "--csv", str(out_csv),
+        )
+        assert code == 0, err
+        assert json.loads(out)["files"] == {"grid": str(out_bin), "csv": str(out_csv)}
+        assert out_bin.exists() and out_csv.exists()
+
     @pytest.mark.parametrize("flags", [("--ny", "0"), ("--nz", "0"), ("--kx", "1e300")])
     def test_unusable_grid_exit(self, capsys, tmp_path, flags):
         out_bin = tmp_path / "g.bin"
@@ -1052,11 +1066,11 @@ class TestFilterDelayCommand:
         ["--E", "1e50", "--b", "0.1", "--distance", "1e300"],
         ["--E", "1.000000000001", "--b", "1e-13", "--distance", "1e308"],
     ])
-    def test_overflowing_delay_exit(self, capsys, flags, si, delay_reference):
+    def test_overflowing_delay_exit(self, capsys, flags, si):
         # exit 2 exactly when the true delay is beyond the double range
         code, out, err = run_cli(capsys, "filter-delay", "--n", "1", *flags, *si)
         args = {k: float(v) for k, v in zip(flags[::2], flags[1::2])}
-        want = delay_reference(args["--E"], 1, args["--b"], distance=args["--distance"])
+        want = reference.delay(args["--E"], 1, args["--b"], distance=args["--distance"])
         if want > sys.float_info.max:
             assert code == 2 and out == ""
             assert err.startswith("error: ValueError: arrival delay over flight distance 1e+308")

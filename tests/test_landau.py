@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, factorial
@@ -20,6 +19,9 @@ from kleinb import (
 )
 from kleinb.landau import MAX_OSCILLATOR_INDEX, _oscillator_pair, longitudinal_momenta
 from kleinb.states import EVANESCENT, REGIMES, regime_codes
+
+import _reference as reference
+from _points import channels, strata
 
 
 def seeded_recurrence(n, x):
@@ -121,7 +123,7 @@ class TestMomenta:
         assert momentum_left(p) == pytest.approx(2.2781571499789035, rel=1e-15)
 
     def test_left_momentum_dispersion_identity(self, param_grid):
-        for p in param_grid[:200]:
+        for p in channels(param_grid[:200]):
             cp = momentum_left(p)
             assert abs(cp * cp + 1.0 + p.C - p.E * p.E) <= 8 * np.finfo(float).eps * p.E * p.E
 
@@ -145,11 +147,11 @@ class TestMomenta:
         q = momentum_right(make_channel(2.0, 2.0, 0.0, Spin.DOWN, 0))
         assert q == pytest.approx(1j)
 
-    def test_branch_rule_on_grid(self, param_grid, threshold_edges):
+    def test_branch_rule_on_grid(self, seed, param_grid):
         # one threshold rule: the regime is the sign pattern of cq, on the
         # seeded grid and on channels within 1e-17..1e-12 of E = V0 +- M_n
-        E, V0, b, n = (np.concatenate([getattr(param_grid, k), edge])
-                       for k, edge in zip(("E", "V0", "b", "n"), threshold_edges))
+        edge = strata(np.random.default_rng([seed, 11]), 24_000, "edge")
+        E, V0, b, n = (np.concatenate([getattr(param_grid, k), x]) for k, x in zip(("E", "V0", "b", "n"), edge))
         C = 2.0 * b * n
         cq = longitudinal_momenta(E, V0, C)[1]
         codes = regime_codes(E, V0, C)
@@ -161,22 +163,13 @@ class TestMomenta:
         # transmitted group velocity q/(E - V0) points rightward
         assert np.all(cq.real[~evanescent] * (E - V0)[~evanescent] > 0.0)
         # the scalar views are the same rule
-        for i, p in enumerate(param_grid):
+        for i, p in enumerate(channels(param_grid)):
             assert momentum_right(p) == cq[i] and classify(p) is REGIMES[codes[i]]
 
 
 class TestThresholdCancellation:
     """cp and cq next to |x| = 1 at b = 0, where x^2 - 1 would cancel,
-    against a 60-digit reference on the same binary inputs."""
-
-    @staticmethod
-    def reference(E, V0):
-        with mpmath.workdps(60):
-            e, v = mpmath.mpf(E), mpmath.mpf(V0)
-            cp = mpmath.sqrt(e * e - 1)
-            q2 = (e - v) ** 2 - 1
-            cq = mpmath.sqrt(q2) * mpmath.sign(e - v) if q2 > 0 else 1j * mpmath.sqrt(-q2)
-            return cp, cq, e, v
+    against the extended-precision reference on the same binary inputs."""
 
     # E - V0 next to 1 but not exactly representable: the rounding of
     # E - V0 alone (~1e-16) is 2e-12 of E - V0 - 1 here
@@ -187,33 +180,27 @@ class TestThresholdCancellation:
         (30.0, 31.0 * (1.0 - 1e-9)), (30.0, 31.0 * (1.0 - 3e-12)), ROUNDED_EBAR,
     ])
     def test_step_side_momentum(self, E, V0):
-        _, cq, _, _ = self.reference(E, V0)
+        cq = complex(reference.closed_forms(E, V0).cq)
         got = momentum_right(make_channel(E, V0, 0.0, Spin.DOWN, 0))
-        assert abs(got - complex(cq)) <= 1e-15 * abs(complex(cq))
+        assert abs(got - cq) <= 1e-15 * abs(cq)
 
     @pytest.mark.parametrize("E, V0", [
         (30.0, 31.0 * (1.0 + 1e-9)), (30.0, 31.0 * (1.0 + 3e-12)), ROUNDED_EBAR,
     ])
     def test_transmitted_fraction(self, E, V0):
-        cp, cq, e, v = self.reference(E, V0)
-        with mpmath.workdps(60):
-            kappa = cq * (e + 1) / (cp * (e + 1 - v))
-            trans_same = float(4 * kappa / (1 + kappa) ** 2)
+        trans_same = float(reference.closed_forms(E, V0).trans_same)
         got = current_budget(make_channel(E, V0, 0.0, Spin.DOWN, 0)).trans_same
         assert abs(got - trans_same) <= 1e-13 * trans_same
 
     @pytest.mark.parametrize("offset", [1e-9, 1e-13])
     def test_left_momentum_near_rest(self, offset):
         E = 1.0 + offset
-        cp, _, _, _ = self.reference(E, 0.0)
+        cp = float(reference.closed_forms(E, 0.0).cp)
         got = momentum_left(make_channel(E, 0.0, 0.0, Spin.DOWN, 0))
-        assert abs(got - float(cp)) <= 1e-15 * float(cp)
+        assert abs(got - cp) <= 1e-15 * cp
 
     def test_field_free_reflection(self):
         E, V0 = self.ROUNDED_EBAR
-        cp, cq, e, v = self.reference(E, V0)
-        with mpmath.workdps(60):
-            kappa = cq * (e + 1) / (cp * (e + 1 - v))
-            R = complex((1 - kappa) / (1 + kappa))
+        R = complex(reference.closed_forms(E, V0).R)
         got = amplitudes(make_channel(E, V0, 0.0, Spin.DOWN, 0)).R
         assert abs(got - R) <= 1e-15 * abs(R)

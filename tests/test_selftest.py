@@ -9,7 +9,7 @@ import pytest
 
 import kleinb.scattering
 import kleinb.selftest
-from kleinb import Spin, make_channel
+from kleinb import Spin
 from kleinb.states import REGIMES
 from kleinb.cli import main
 from kleinb.scattering import _evaluate, _mask_kinematics, _spin_up, amplitudes_batch, solve_boundary_batch
@@ -29,15 +29,11 @@ from kleinb.selftest import (
     sample_grid,
 )
 
-from _points import sample_params
+from _points import channels, in_sliver, sample_params
 
 
 def grid_arrays(grid):
     return (grid.E, grid.V0, grid.b, grid.n, grid.spin)
-
-
-def in_sliver(E, V0):
-    return np.abs(E + 1.0 - V0) < 2e-3 * (1.0 + V0)
 
 
 class TestSampleGrid:
@@ -80,10 +76,10 @@ class TestSampleGrid:
 
     def test_every_point_is_a_valid_channel(self, seed):
         grid = sample_grid(1000, seed)
-        channels = list(grid)
-        assert len(channels) == len(grid)
-        for i, p in enumerate(channels):
-            assert p == make_channel(grid.E[i], grid.V0[i], grid.b[i], grid.spin[i], int(grid.n[i]))
+        points = list(channels(grid))
+        assert len(points) == len(grid)
+        for i, p in enumerate(points):
+            assert (p.E, p.V0, p.field.b, p.n, p.spin) == (grid.E[i], grid.V0[i], grid.b[i], grid.n[i], grid.spin[i])
 
     @pytest.mark.parametrize("points", [0, -5, MAX_SELFTEST_POINTS + 1, 2.5, True])
     def test_points_bounded(self, points):
@@ -211,9 +207,9 @@ def _unsigned_flip(rows):
     """_evaluate that gives the mirror rows flip amplitudes without the sign change."""
     def evaluate(k, shape):
         a = _evaluate(k, shape)
-        for x in (a.Rp, a.Tp):
-            x[rows] = -x[rows]
-        return a
+        sign = np.ones(a.Rp.shape)
+        sign[rows] = -1.0
+        return dataclasses.replace(a, Rp=sign * a.Rp, Tp=sign * a.Tp)
     return evaluate
 
 

@@ -27,6 +27,8 @@ from kleinb import (
 )
 from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid, level_floats
 
+from _points import strata
+
 
 def test_valid_channel():
     p = make_channel(2.0, 5.0, 0.1, Spin.DOWN, 1)
@@ -164,9 +166,9 @@ def test_exactly_one_regime_holds(e, v0, b, n):
     assert_exact_regime(p)
 
 
-def test_regime_follows_exact_sign_at_thresholds(threshold_edges):
-    for e, v0, b, n in zip(*threshold_edges):
-        assert_exact_regime(make_channel(e, v0, b, Spin.DOWN, int(n)))
+def test_regime_follows_exact_sign_at_thresholds(seed):
+    for e, v0, b, n, up in zip(*strata(np.random.default_rng([seed, 11]), 24_000, "edge")):
+        assert_exact_regime(make_channel(e, v0, b, Spin.UP if up else Spin.DOWN, int(n)))
 
 
 def test_params_are_immutable():

@@ -31,7 +31,7 @@ from kleinb import wavefield
 from kleinb.landau import eval_oscillator
 from kleinb.wavefield import GRID_KIND_COMPONENTS, GRID_KIND_FACTORS, MAX_GRID_POINTS, _pieces
 
-from _points import sample_params
+from _points import channels, sample_params
 
 
 def reference_field(params, y, z, y0=0.0):
@@ -68,11 +68,6 @@ def full_grid_current(field):
     v = field.values
     jz = 2.0 * np.real(np.conj(v[0]) * v[2]) - 2.0 * np.real(np.conj(v[1]) * v[3])
     return np.trapezoid(jz, field.y, axis=0)
-
-
-def incident_only(params):
-    zero = ScatterAmplitudes(R=0j, Rp=0j, T=0j, Tp=0j, regime=amplitudes(params).regime)
-    return assemble_field(params, amps=zero, ny=257, nz=33)
 
 
 def current_fractions(params, ny=2049, nz=32):
@@ -169,7 +164,7 @@ class TestSeparableAssembly:
         assert np.abs(hi - hi_ref).max() <= 1e-14 * hi_mag
 
     def test_matches_per_piece_sum_on_seeded_grid(self, param_grid):
-        for p in param_grid:
+        for p in channels(param_grid):
             self.assert_matches_reference(p)
 
     @pytest.mark.parametrize("args", [
@@ -192,7 +187,7 @@ SPECIAL_POINTS = [
 class TestFactorisedField:
     def test_current_matches_full_grid_formula(self, param_grid):
         worst = 0.0
-        for p in list(param_grid) + [make_channel(*args) for args in SPECIAL_POINTS]:
+        for p in list(channels(param_grid)) + [make_channel(*args) for args in SPECIAL_POINTS]:
             f = assemble_field(p, ny=65, nz=17)
             zero = ScatterAmplitudes(R=0j, Rp=0j, T=0j, Tp=0j, regime=f.amps.regime)
             # incident current from the reference formula; in regime III the
@@ -208,7 +203,7 @@ class TestFactorisedField:
         # the abs-squared reference above carries its own ~3.7 eps; this one
         # squares the stored float factors in long double
         eps = np.finfo(float).eps
-        for p in param_grid[:200]:
+        for p in channels(param_grid[:200]):
             f = assemble_field(p, ny=65, nz=17)
             t, re, im = (x.astype(np.longdouble) for x in (f.trans, f.profile.real, f.profile.imag))
             exact = np.einsum("cy,cz->yz", t * t, re * re + im * im)
@@ -217,7 +212,7 @@ class TestFactorisedField:
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_components_payload_is_values(self, tmp_path, param_grid, read_first):
-        points = list(param_grid[:30]) + [make_channel(*args) for args in SPECIAL_POINTS]
+        points = list(channels(param_grid[:30])) + [make_channel(*args) for args in SPECIAL_POINTS]
         for p in points:
             f = assemble_field(p, ny=33, nz=24, k_x=0.4)
             if read_first:
@@ -274,6 +269,25 @@ class TestFactorisedField:
                 setattr(f, name, value)
         assert f.values is values
         assert np.array_equal(values, f.trans[:, :, None] * f.profile[:, None, :])
+
+    def test_arrays_are_read_only(self, tmp_path):
+        # a write into a factor would leave the kept grid stale
+        y = np.linspace(-3.0, 3.0, 8)
+        f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), y=y, nz=6)
+        values = f.values
+        for name in ("y", "z", "trans", "profile", "ends", "values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(f, name)[0] = 5.0
+        assert f.values is values
+        assert np.array_equal(values, f.trans[:, :, None] * f.profile[:, None, :])
+        # the caller's arrays stay writable, and apart from the field's
+        y[0] = 5.0
+        assert f.y[0] == -3.0
+        trans = np.array(f.trans)
+        assert replace(f, trans=trans).trans.base is trans and trans.flags.writeable
+        save_grid(tmp_path / "c.bin", f, what="components")
+        for array in (f.density(), load_grid(tmp_path / "c.bin")[1]):
+            array[0] = 5.0
 
     def test_current_temporaries_bounded(self):
         f = assemble_field(make_channel(2.0, 6.0, 0.2, Spin.UP, 1), ny=500, nz=500)
@@ -353,7 +367,7 @@ class TestInputValidation:
 
 class TestContinuity:
     def test_matched_amplitudes_are_continuous(self, param_grid):
-        for p in param_grid[:60]:
+        for p in channels(param_grid[:60]):
             f = assemble_field(p, ny=257, nz=2)
             assert continuity_residual(f) < 1e-10
 
