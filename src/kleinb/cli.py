@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .states import (
     ChannelParams,
     Spin,
     broken_rules,
-    channel_valid,
+    channel_open,
     check_rules,
     level_floats,
     make_channel,
@@ -291,7 +290,7 @@ def _float_texts(x, out=None) -> np.ndarray:
 
 def _json_value(v) -> str:
     if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=False)
+        return json.dumps(v)
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
@@ -417,12 +416,12 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
     they are read.
 
     Per chunk, make_channel's rules run over all rows at once
-    (channel_valid), the invalid rows' errors are named from the first
-    rule each breaks (broken_rules), and the valid rows are evaluated in
-    one pass of the closed forms.  _float_texts writes the axis values
-    and the value table into the chunk's block as arrays; a row with an
-    error keeps its axis value and error name, and its other cells are
-    empty.
+    (broken_rules), and the valid rows are evaluated in one pass of the
+    closed forms.  _float_texts writes the axis values and the value
+    table into the chunk's block as arrays; a row with an error keeps its
+    axis value and its value cells are empty.  Each row's error cell is
+    gathered from one table by the row's first broken rule: empty where
+    it breaks none, SingularStep where it lies on the singular slice.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
@@ -431,15 +430,17 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
     up = fixed["spin"] is Spin.UP
     inner = header[2:-1]
     labels = _text_words([f",{label}" for label in REGIME_LABELS] + [","])
+    # error cells by broken rule, then of a valid row and of a singular one
+    valid = len(CHANNEL_RULES)
+    ends = _text_words([f",{error.__name__}\n" for _, error, _ in CHANNEL_RULES]
+                       + [",\n", f",{SingularStep.__name__}\n"])
     for lo in range(0, len(values), CSV_CHUNK_LINES):
         e, v0, bb, nn = (x[lo:lo + CSV_CHUNK_LINES] for x in (E, V0, b, n))
-        valid = channel_valid(e, v0, bb, nn, up)
-        rows, bad = np.flatnonzero(valid), np.flatnonzero(~valid)
+        broken = broken_rules(e, v0, bb, nn, up)
+        rows = np.flatnonzero(broken == valid)
         k = kinematics(e[rows], v0[rows], 2.0 * bb[rows] * nn[rows], np.full(rows.size, up))
         batch = _evaluate(k, (rows.size,))
-        broken = broken_rules(e[bad], v0[bad], bb[bad], nn[bad], up).tolist() if bad.size else []
-        errors = {i: CHANNEL_RULES[r][1].__name__ for i, r in zip(bad.tolist(), broken)}
-        errors.update(dict.fromkeys(rows[batch.singular].tolist(), SingularStep.__name__))
+        broken[rows[batch.singular]] = valid + 1
         ok = ~batch.singular
         shown = rows[ok]
         table = np.zeros((len(e), len(inner)))
@@ -447,17 +448,14 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
             table[shown, j] = _value_column(batch, name)[ok]
         codes = np.full(len(e), len(REGIME_LABELS))
         codes[shown] = batch.regime[ok]
-        ends = _text_words([",\n"] + [f",{name}\n" for name in errors.values()])
         block = np.zeros((len(e), CELL_WORDS * (1 + len(inner)) + 1 + ends.shape[1]), _WORD)
         _float_texts(values[lo:lo + CSV_CHUNK_LINES], block[:, :CELL_WORDS])
         block[:, CELL_WORDS] = labels[codes, 0]
         cells = block[:, CELL_WORDS + 1:-ends.shape[1]].reshape(len(e), len(inner), CELL_WORDS)
         _float_texts(table, cells)
-        failed = list(errors)
-        cells[failed] = 0
+        cells[broken != valid] = 0
         cells[..., 0] |= ord(",")
-        block[:, -ends.shape[1]:] = ends[0]
-        block[failed, -ends.shape[1]:] = ends[1:]
+        block[:, -ends.shape[1]:] = ends[broken]
         yield block
 
 
@@ -474,9 +472,11 @@ def cmd_sweep(args) -> int:
         unknown = sorted(set(cfg) - set(_SWEEP_KEYS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        # flags given on the command line win; config fills the rest
+        # flags given on the command line win, and an axis given as
+        # --start/--stop wins over the file's values; config fills the rest
+        ranged = args.start is not None or args.stop is not None
         for key, raw in cfg.items():
-            if getattr(args, key) is None:
+            if getattr(args, key) is None and not (key == "values" and ranged):
                 setattr(args, key, _SWEEP_KEYS[key](raw))
     if args.count is None:
         args.count = 51
@@ -528,9 +528,8 @@ def cmd_regime_map(args) -> int:
     v0_cells[:, 0] |= ord(",")
     ends = _text_words([f",{label},{o}\n" for label in REGIME_LABELS for o in (0, 1)])
     codes = 2 * regime_codes(es[:, None], v0s[None, :], c).ravel()
-    # the table's E > 0 and open-channel rules, on the E column at V0 = 0
-    column = SimpleNamespace(E=es, V0=0.0, b=args.b, n=args.n, up=False)
-    is_open = CHANNEL_RULES[7][0](column) & CHANNEL_RULES[-1][0](column)
+    # the E > 0 and open-channel rules of make_channel, on the E column
+    is_open = (es > 0.0) & channel_open(es, c)
 
     def blocks():
         for lo in range(0, codes.size, CSV_CHUNK_LINES):

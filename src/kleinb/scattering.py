@@ -251,9 +251,9 @@ class BatchAmplitudes:
     amplitudes_batch.  regime holds indices into states.REGIMES.  Points
     flagged in singular lie within SINGULAR_TOL of V0 = E + 1, where the
     scalar functions raise SingularStep; their amplitudes and fractions
-    are NaN.  The arrays of amplitudes_batch's result and of a selftest
-    grid are read-only (see _frozen): a write into one would leave the
-    fields computed from it stale.
+    are NaN.  The arrays of amplitudes_batch's result (see _frozen) and
+    of a selftest grid (see selftest.GridBatch) are read-only: a write
+    into one would leave the fields computed from it stale.
     """
 
     regime: np.ndarray

@@ -27,7 +27,6 @@ from .scattering import (
     Kinematics,
     _boundary_solve,
     _evaluate,
-    _frozen,
     _mask_kinematics,
 )
 from .states import EVANESCENT, Spin
@@ -157,7 +156,7 @@ class GridBatch:
     closed-form amplitudes and budgets, each evaluated once.
 
     Indexing with a slice or mask gives a sub-grid without re-evaluating.
-    The amplitudes are read-only.
+    Every array, the kinematics and amplitudes included, is read-only.
     """
 
     E: np.ndarray
@@ -169,7 +168,9 @@ class GridBatch:
     kin: Kinematics
 
     def __post_init__(self):
-        object.__setattr__(self, "amps", _frozen(self.amps))
+        # the arrays are the grid's own, so their flags are cleared in place
+        for array in (self.E, self.V0, self.b, self.n, self.spin, *self.kin, *vars(self.amps).values()):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return self.E.size

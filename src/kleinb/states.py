@@ -3,8 +3,8 @@
 The rules a channel obeys (b >= 0, an existing level pair, E and V0 in
 range, an open channel) are written once, as the table CHANNEL_RULES.
 FieldStrength, IncomingState and ChannelParams raise the error of the
-first rule a scalar point breaks; channel_valid, broken_rules and
-channel_error apply the same table to arrays of points.
+first rule a scalar point breaks; broken_rules applies the same table
+to arrays of points, and channel_valid and channel_error read its result.
 
 Everything in this package is dimensionless: energies are measured in
 units of the electron rest energy mc^2, momenta in mc, lengths in
@@ -22,9 +22,7 @@ V(z) = V0 (z >= 0), with the field parallel to z.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -40,7 +38,7 @@ MAX_ENERGY = 1e50
 
 #: Largest level index n a channel accepts: 2**53 - 1.  Every integer up
 #: to it is exact as a float, and every larger one converts to a float
-#: above it, so the float rule of channel_valid (and a sweep axis value)
+#: above it, so the float rule of broken_rules (and a sweep axis value)
 #: rejects exactly the n that IncomingState rejects.
 MAX_LEVEL = 2 ** 53 - 1
 
@@ -160,7 +158,7 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
     a non-finite or negative b, InvalidSpinIndex for an n that is not an
     int in [0, MAX_LEVEL] and for (up, 0), ValueError for non-finite or
     out-of-range E and V0, and ClosedChannel for E^2 <= 1 + 2 b n.
-    channel_valid applies the same table over arrays.
+    broken_rules applies the same table over arrays.
     """
     return ChannelParams(
         E=float(E), V0=float(V0), field=FieldStrength(float(b)),
@@ -226,34 +224,35 @@ def check_rules(rules, **point) -> None:
             raise error(message(p))
 
 
-def _held(E, V0, b, n, up) -> list:
+def broken_rules(E, V0, b, n, up) -> np.ndarray:
+    """make_channel's rules over arrays (n as float, up a bool mask for
+    spin-up): per point, the index into CHANNEL_RULES of the first rule it
+    breaks, the rule whose error make_channel raises, or len(CHANNEL_RULES)
+    where it breaks none."""
     p = SimpleNamespace(E=E, V0=V0, b=b, n=np.asarray(n, dtype=float), up=up)
+    # per point, whether it keeps each rule, then a False that argmin finds where it keeps all
+    held = np.zeros(np.broadcast(E, V0, b, p.n, up).shape + (len(CHANNEL_RULES) + 1,), dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
-        return [holds(p) for holds, _, _ in CHANNEL_RULES]
+        for i, (holds, _, _) in enumerate(CHANNEL_RULES):
+            held[..., i] = holds(p)
+    return held.argmin(axis=-1)
 
 
 def channel_valid(E, V0, b, n, up):
-    """make_channel's rules over arrays: True where make_channel accepts
-    the point (n as float, up a bool mask for spin-up)."""
-    return functools.reduce(operator.and_, _held(E, V0, b, n, up))
-
-
-def broken_rules(E, V0, b, n, up) -> np.ndarray:
-    """Per point that channel_valid rejects, the index into CHANNEL_RULES
-    of the first rule it breaks: the rule whose error make_channel raises."""
-    return np.argmin(np.stack(np.broadcast_arrays(*_held(E, V0, b, n, up))), axis=0)
+    """True where make_channel accepts the point: broken_rules finds no broken rule."""
+    return broken_rules(E, V0, b, n, up) == len(CHANNEL_RULES)
 
 
 def channel_error(E, V0, b, n, up) -> Exception:
     """The exception make_channel raises for one point channel_valid rejects (n as a float)."""
     p = SimpleNamespace(E=float(E), V0=float(V0), b=float(b), n=float(n), up=bool(up))
-    _, error, message = CHANNEL_RULES[_held(**vars(p)).index(False)]
+    _, error, message = CHANNEL_RULES[broken_rules(**vars(p))]
     return error(message(p))
 
 
 def level_floats(n) -> np.ndarray:
     """n (an int, a float, or an array or a sequence of them) as the float
-    array channel_valid takes.  An int too large for a float becomes
+    array broken_rules takes.  An int too large for a float becomes
     +-(MAX_LEVEL + 1), which the level rule rejects as it rejects n
     itself.  A bool, str or bytes, alone, in a sequence or in an array,
     raises InvalidSpinIndex, as make_channel does."""

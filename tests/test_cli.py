@@ -232,6 +232,37 @@ class TestSweep:
         assert code == 0
         assert len(out2.strip().splitlines()) == 4
 
+    def test_flag_range_wins_over_config_values(self, capsys, tmp_path):
+        # --start/--stop on the command line replace the file's values
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = E\nvalues = 2,3\nV0 = 0\nb = 0.1\nn = 1\nspin = up\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                 "--start", "5", "--stop", "6", "--count", "3")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["5", "5.5", "6"]
+        code, flags_only, _ = run_cli(capsys, "sweep", "--axis", "E", "--V0", "0", "--b", "0.1", "--n", "1",
+                                      "--spin", "up", "--start", "5", "--stop", "6", "--count", "3")
+        assert flags_only == out
+        # without a range on the command line the file's values still apply
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--count", "3")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
+
+    def test_one_rule_pass_per_chunk(self, capsys, monkeypatch):
+        # broken_rules names every row's error in one call per chunk, and
+        # channel_valid does not run
+        calls, broken_rules, channel_valid = [], kleinb.cli.broken_rules, kleinb.states.channel_valid
+        monkeypatch.setattr(kleinb.cli, "broken_rules", lambda *a: calls.append(a[0].size) or broken_rules(*a))
+        for module in (kleinb.states, kleinb.cli):
+            monkeypatch.setattr(module, "channel_valid", lambda *a: calls.append("channel_valid") or channel_valid(*a),
+                                raising=False)
+        count = kleinb.cli.CSV_CHUNK_LINES + 5
+        code, out, err = run_cli(capsys, "sweep", "--axis", "V0", "--start=-1", "--stop", "8",
+                                 "--count", str(count), "--E", "2", "--b", "0.1", "--n", "1", "--spin", "up")
+        assert code == 0, err
+        assert calls == [kleinb.cli.CSV_CHUNK_LINES, 5]
+        errors = {line.split(",")[-1] for line in out.splitlines()[1:]}
+        assert errors == {"", "ValueError"}
+
     @pytest.mark.parametrize("text, message", [
         ("axis = V0\nstart 0\n", "{path}:2: expected 'key = value', got 'start 0\\n'"),
         ("axis = V0\nspeed = 3\ncolour = red\n", "unknown config key(s): colour, speed"),
@@ -924,6 +955,18 @@ class TestFieldCommand:
         assert code == 0, err
         assert json.loads(out)["files"] == {"grid": str(out_bin), "csv": str(out_csv)}
         assert out_bin.exists() and out_csv.exists()
+
+    def test_path_not_utf8(self, capsys, tmp_path):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate, and
+        # is printed as its ASCII escape
+        out_bin = str(tmp_path / "\udcff.bin")
+        code, out, err = run_cli(
+            capsys, "field", "--E", "2", "--V0", "6", "--b", "0.2", "--n", "1", "--spin", "up",
+            "--ny", "3", "--nz", "4", "--out", out_bin, "--csv", "",
+        )
+        assert code == 0, err
+        assert out.isascii() and "\\udcff.bin" in out
+        assert json.loads(out)["files"] == {"grid": out_bin}
 
     @pytest.mark.parametrize("flags", [("--ny", "0"), ("--nz", "0"), ("--kx", "1e300")])
     def test_unusable_grid_exit(self, capsys, tmp_path, flags):

@@ -81,6 +81,16 @@ class TestSampleGrid:
         for i, p in enumerate(points):
             assert (p.E, p.V0, p.field.b, p.n, p.spin) == (grid.E[i], grid.V0[i], grid.b[i], grid.n[i], grid.spin[i])
 
+    def test_arrays_are_read_only(self, param_grid):
+        # the kinematics hold the regime the amplitudes read: a write into
+        # one would change the other
+        for grid in (param_grid, param_grid[::7], param_grid[param_grid.b > 0.0], param_grid.family):
+            for array in (*grid_arrays(grid), *grid.kin, *vars(grid.amps).values()):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
+        for array in vars(param_grid.mirror).values():
+            assert not array.flags.writeable
+
     @pytest.mark.parametrize("points", [0, -5, MAX_SELFTEST_POINTS + 1, 2.5, True])
     def test_points_bounded(self, points):
         with pytest.raises(ValueError, match="points"):

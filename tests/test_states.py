@@ -25,7 +25,15 @@ from kleinb import (
     klein_limit,
     make_channel,
 )
-from kleinb.states import MAX_ENERGY, MAX_LEVEL, channel_error, channel_valid, level_floats
+from kleinb.states import (
+    CHANNEL_RULES,
+    MAX_ENERGY,
+    MAX_LEVEL,
+    broken_rules,
+    channel_error,
+    channel_valid,
+    level_floats,
+)
 
 from _points import strata
 
@@ -198,7 +206,7 @@ def _make_channel_error(e, v0, b, n, up):
     try:
         make_channel(e, v0, b, Spin.UP if up else Spin.DOWN, n)
     except (ValueError, ClosedChannel, InvalidSpinIndex, NegativeField) as exc:
-        return type(exc)
+        return exc
     return None
 
 
@@ -221,13 +229,19 @@ def test_array_rule_matches_make_channel():
     e, v0, b, n, up = grid.T
     up = up.astype(bool)
     valid = channel_valid(e, v0, b, n, up)
+    # every point: the first rule it breaks, or len(CHANNEL_RULES) for none
+    broken = broken_rules(e, v0, b, n, up)
     kinds = set()
     for i in range(len(grid)):
         n_i = int(n[i]) if math.isfinite(n[i]) and n[i] == math.floor(n[i]) else float(n[i])
-        want = _make_channel_error(float(e[i]), float(v0[i]), float(b[i]), n_i, up[i])
+        exc = _make_channel_error(float(e[i]), float(v0[i]), float(b[i]), n_i, up[i])
+        want = None if exc is None else type(exc)
         assert valid[i] == (want is None), grid[i]
+        assert (broken[i] == len(CHANNEL_RULES)) == (want is None), grid[i]
         if want is not None:
-            assert type(channel_error(e[i], v0[i], b[i], n[i], up[i])) is want, grid[i]
+            assert CHANNEL_RULES[broken[i]][1] is want, grid[i]
+            error = channel_error(e[i], v0[i], b[i], n[i], up[i])
+            assert type(error) is want and str(error) == str(exc), grid[i]
         kinds.add(want)
     assert kinds == {None, ValueError, ClosedChannel, InvalidSpinIndex, NegativeField}
 
