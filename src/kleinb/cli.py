@@ -415,13 +415,12 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
     axis value, evaluated and formatted CSV_CHUNK_LINES rows at a time as
     they are read.
 
-    Per chunk, make_channel's rules run over all rows at once
-    (broken_rules), and the valid rows are evaluated in one pass of the
-    closed forms.  _float_texts writes the axis values and the value
-    table into the chunk's block as arrays; a row with an error keeps its
-    axis value and its value cells are empty.  Each row's error cell is
-    gathered from one table by the row's first broken rule: empty where
-    it breaks none, SingularStep where it lies on the singular slice.
+    Per chunk, one broken_rules call checks every row against
+    make_channel's rules, and the valid rows are evaluated in one pass of
+    the closed forms.  _float_texts writes the axis values and the value
+    table into the chunk's block as arrays.  A row with an error keeps its
+    axis value, its value cells are empty, and its error cell is gathered
+    by its first broken rule (or as SingularStep) from one table.
     """
     E, V0, b, n = np.broadcast_arrays(
         *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
