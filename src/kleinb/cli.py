@@ -52,9 +52,10 @@ COMPTON_TIME_S = 1.2880886664441626e-21
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
 #: built.  The rows are evaluated and formatted CSV_CHUNK_LINES at a
-#: time, so a full-column sweep of MAX_CSV_ROWS rows peaked at 41 MiB RSS
-#: and took 0.8 s on a 2-core x86-64 host (31 MiB for one row), and a
-#: regime-map of as many cells peaked at 47 MiB.
+#: time, so a full-column E sweep of MAX_CSV_ROWS rows peaked at 41.5 MiB
+#: RSS and took 1.4-1.5 s of wall time, interpreter start included, on a
+#: 2-core x86-64 host (31 MiB for one row), and a regime-map of as many
+#: cells peaked at 47 MiB.
 MAX_CSV_ROWS = 400_000
 
 #: Rows evaluated and formatted at a time by the sweep, and rows laid
@@ -410,22 +411,35 @@ def _value_column(batch, name: str) -> np.ndarray:
     return getattr(batch, name)
 
 
+def _distinct(values: np.ndarray) -> tuple:
+    """The distinct bit patterns of values (-0.0 and 0.0 apart) and the
+    index that lays them out as values again: values itself and a whole
+    slice where no value repeats, which one sort finds."""
+    keys = values.view(np.int64)
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return values, slice(None)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return values[first], inverse
+
+
 def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str]):
     """Row blocks (see _write_csv) of the header's columns, one row per
     axis value, evaluated and formatted CSV_CHUNK_LINES rows at a time as
     they are read.
 
-    Per chunk, one broken_rules call checks every row against
-    make_channel's rules, and the valid rows are evaluated in one pass of
-    the closed forms.  _float_texts writes the axis values and the value
-    table into the chunk's block as arrays.  A row with an error keeps its
-    axis value, its value cells are empty, and its error cell is gathered
-    by its first broken rule (or as SingularStep) from one table.
+    A row depends on its axis value's bits alone, so each chunk's distinct
+    values are checked, evaluated and laid out once, and a repeated value's
+    row is a copy of the first.  Per chunk, one broken_rules call checks
+    the distinct values against make_channel's rules, and the valid ones
+    are evaluated in one pass of the closed forms.  _float_texts writes the
+    axis values and the value table into the block as arrays.  A row with
+    an error keeps its axis value, its value cells are empty, and its error
+    cell is gathered by its first broken rule (or as SingularStep) from one
+    table.
     """
-    E, V0, b, n = np.broadcast_arrays(
-        *(np.asarray(values if key == axis else fixed[key], dtype=float) for key in ("E", "V0", "b")),
-        level_floats(values if axis == "n" else fixed["n"]),
-    )
+    point = {key: level_floats(fixed[key]) if key == "n" else np.asarray(fixed[key], dtype=float)
+             for key in ("E", "V0", "b", "n") if key != axis}
     up = fixed["spin"] is Spin.UP
     inner = header[2:-1]
     labels = _text_words([f",{label}" for label in REGIME_LABELS] + [","])
@@ -434,7 +448,8 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
     ends = _text_words([f",{error.__name__}\n" for _, error, _ in CHANNEL_RULES]
                        + [",\n", f",{SingularStep.__name__}\n"])
     for lo in range(0, len(values), CSV_CHUNK_LINES):
-        e, v0, bb, nn = (x[lo:lo + CSV_CHUNK_LINES] for x in (E, V0, b, n))
+        point[axis], inverse = _distinct(values[lo:lo + CSV_CHUNK_LINES])
+        e, v0, bb, nn = np.broadcast_arrays(*(point[key] for key in ("E", "V0", "b", "n")))
         broken = broken_rules(e, v0, bb, nn, up)
         rows = np.flatnonzero(broken == valid)
         k = kinematics(e[rows], v0[rows], 2.0 * bb[rows] * nn[rows], np.full(rows.size, up))
@@ -448,14 +463,14 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
         codes = np.full(len(e), len(REGIME_LABELS))
         codes[shown] = batch.regime[ok]
         block = np.zeros((len(e), CELL_WORDS * (1 + len(inner)) + 1 + ends.shape[1]), _WORD)
-        _float_texts(values[lo:lo + CSV_CHUNK_LINES], block[:, :CELL_WORDS])
+        _float_texts(point[axis], block[:, :CELL_WORDS])
         block[:, CELL_WORDS] = labels[codes, 0]
         cells = block[:, CELL_WORDS + 1:-ends.shape[1]].reshape(len(e), len(inner), CELL_WORDS)
         _float_texts(table, cells)
         cells[broken != valid] = 0
         cells[..., 0] |= ord(",")
         block[:, -ends.shape[1]:] = ends[broken]
-        yield block
+        yield block[inverse]
 
 
 _SWEEP_KEYS = {
@@ -476,7 +491,10 @@ def cmd_sweep(args) -> int:
         ranged = args.start is not None or args.stop is not None
         for key, raw in cfg.items():
             if getattr(args, key) is None and not (key == "values" and ranged):
-                setattr(args, key, _SWEEP_KEYS[key](raw))
+                try:
+                    setattr(args, key, _SWEEP_KEYS[key](raw))
+                except ValueError as exc:
+                    raise ValueError(f"{args.config}: {key}: {exc}") from None
     if args.count is None:
         args.count = 51
     axis = args.axis

@@ -48,6 +48,18 @@ def closed_forms(E, V0, b=0.0, n=0, up=False) -> ClosedForms:
                            abs(R) ** 2, abs(Rp) ** 2, kappa * abs(one_plus_R) ** 2, kappa * abs(Rp) ** 2)
 
 
+def klein_approach(E, b, n, up, V0=1e20) -> tuple:
+    """V0 (|T|^2 / |T|^2_inf - 1) and V0 (|Tp|^2 / |Tp|^2_inf - 1) from the
+    closed forms at V0: the coefficients c of |T|^2 = |T|^2_inf (1 + c / V0
+    + O(1 / V0^2)).  Each limit is the closed forms at V0^2, off by about
+    c / V0^2 relative; the differences cancel log10(V0) digits.  The Tp
+    coefficient is None where C = 0 and Tp vanishes."""
+    near, far = closed_forms(E, V0, b, n, up), closed_forms(E, V0 * V0, b, n, up)
+    with mpmath.workdps(DPS):
+        return tuple(V0 * (abs(z) ** 2 / abs(limit) ** 2 - 1) if limit else None
+                     for z, limit in ((near.T, far.T), (near.Tp, far.Tp)))
+
+
 def boundary_solve(E, V0, b, n, up) -> list:
     """(R, Rp, T, Tp) of the normalized 4x4 matching system, solved by LU:
     the piece vectors of the spinor_table docstring (spin-down mirrored),

@@ -269,6 +269,13 @@ class TestSweep:
         ("axis = V0\nvalues =\nE = 2\nb = 0.1\nn = 1\nspin = up\n", EMPTY_VALUES),
         ("axis = X\nvalues = 1,2\nE = 2\nV0 = 1\nb = 0.1\nn = 1\nspin = up\n",
          "sweep needs --axis (E, V0, b, or n), got 'X'"),
+        # a value that does not convert names the file and the key
+        ("axis = V0\nvalues = 1\nE = 2\nb = 0.1\nn = 1.5\nspin = up\n",
+         "{path}: n: invalid literal for int() with base 10: '1.5'"),
+        ("axis = E\nvalues = 2\nV0 = zero\nb = 0.1\nn = 1\nspin = up\n",
+         "{path}: V0: could not convert string to float: 'zero'"),
+        ("axis = V0\nstart = 0\nstop = 1\ncount = many\nE = 2\nb = 0.1\nn = 1\nspin = up\n",
+         "{path}: count: invalid literal for int() with base 10: 'many'"),
     ])
     def test_bad_config_file_exit(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "sweep.cfg"
@@ -715,6 +722,61 @@ class TestCsvPieces:
         monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 7)
         monkeypatch.setattr(kleinb.cli, "WRITE_BYTES", 100)
         assert run_cli(capsys, *argv) == want
+
+
+REPEAT_SWEEPS = [
+    # (axis, values, fixed flags, --columns or None): values repeated within
+    # and across chunks of 3 rows, -0 next to 0 and nan next to -nan
+    ("V0", "-0,0,-0,nan,nan,inf,3,3,-1,6,-0,3,nan,-nan,inf,-1,6,0,2.5,2.5",
+     {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}, None),  # invalid and SingularStep rows
+    ("E", "2,2,-0,0,nan,nan,inf,2,1,1,3,-0,0,3,1.4955530238762225,1.4955530238762225",
+     {"V0": 1.0, "b": 0.04416710168661831, "n": 14, "spin": "down"}, None),
+    ("b", "0,-0,0,0.25,0.25,-0.1,nan,0,-0,-0.1", {"E": 2.0, "V0": 6.0, "n": 1, "spin": "up"}, None),
+    ("n", "0,1,1,2,0,40,-1,2,1,-0,0,-1,40,2", {"E": 2.0, "V0": 1.0, "b": 0.1, "spin": "up"}, None),
+    ("V0", "3,0,3,6,nan,0,6,3", {"E": 2.0, "b": 0.1, "n": 1, "spin": "up"}, "refl_flip,re_Tp,sum"),
+]
+
+
+class TestRepeatedAxisValues:
+    """A sweep row depends on its axis value's bits alone: each chunk
+    checks, evaluates and lays out its distinct values once."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict:
+        """Points per broken_rules and per _evaluate call of the sweep."""
+        calls = {"broken_rules": [], "_evaluate": []}
+        broken_rules, evaluate = kleinb.cli.broken_rules, kleinb.cli._evaluate
+        monkeypatch.setattr(kleinb.cli, "broken_rules",
+                            lambda *a: calls["broken_rules"].append(a[0].size) or broken_rules(*a))
+        monkeypatch.setattr(kleinb.cli, "_evaluate",
+                            lambda k, shape: calls["_evaluate"].append(k.E.size) or evaluate(k, shape))
+        return calls
+
+    def test_levels_evaluated_once(self, capsys, monkeypatch):
+        # 2000 levels drawn from 0..20 are 21 points; n = 0 (spin-up) and
+        # n >= 16 (closed) are error rows
+        calls = self.counted(monkeypatch)
+        values = ",".join(map(str, np.random.default_rng(2801).integers(0, 21, 2000).tolist()))
+        fixed = {"E": 3.0, "V0": 6.0, "b": 0.25, "spin": "up"}
+        out = TestCsvBytes().sweep(capsys, "n", values, fixed)
+        assert sum(calls["broken_rules"]) <= 21 and sum(calls["_evaluate"]) <= 21
+        assert out == reference_sweep_csv("n", values, fixed)
+        assert {line.split(",")[-1] for line in out.splitlines()[1:]} == {"", "InvalidSpinIndex", "ClosedChannel"}
+
+    @pytest.mark.parametrize("axis, values, fixed, columns", REPEAT_SWEEPS)
+    def test_distinct_per_chunk(self, capsys, monkeypatch, axis, values, fixed, columns):
+        calls = self.counted(monkeypatch)
+        monkeypatch.setattr(kleinb.cli, "CSV_CHUNK_LINES", 3)
+        out = TestCsvBytes().sweep(capsys, axis, values, fixed, columns)
+        keys = np.array([float(v) for v in values.split(",")]).view(np.int64).tolist()
+        distinct = [len(set(keys[lo:lo + 3])) for lo in range(0, len(keys), 3)]
+        assert calls["broken_rules"] == distinct
+        assert len(calls["_evaluate"]) == len(distinct)
+        assert all(size <= d for size, d in zip(calls["_evaluate"], distinct))
+        selected = SWEEP_VALUE_COLUMNS if columns is None else columns.split(",")
+        assert out == reference_sweep_csv(axis, values, fixed, selected)
+        errors = {line.split(",")[-1] for line in out.splitlines()[1:]}
+        assert errors - {""} and "" in errors
 
 
 class TestFileErrors:

@@ -402,6 +402,21 @@ class TestKleinLimit:
             np.testing.assert_allclose(np.abs(a.Tp[flip]) ** 2, tp2_inf[flip], rtol=4e-15, atol=0.0)
             assert np.all(a.Tp[~flip] == 0.0)
 
+    @pytest.mark.parametrize("e, b, n, spin", [
+        (2.0, 0.1, 1, Spin.UP), (3.0, 0.5, 2, Spin.DOWN), (1.5, 0.0, 0, Spin.DOWN), (5.0, 1.0, 3, Spin.UP),
+    ])
+    def test_approach_is_one_over_v0(self, e, b, n, spin):
+        # V0 (|T|^2 / |T|^2_inf - 1) tends to the 60-digit coefficient at
+        # V0 = 1e20, and likewise for Tp where C > 0
+        limits = klein_limit(spin, n, e, b)
+        coefficients = reference.klein_approach(e, b, n, spin is Spin.UP)
+        assert (coefficients[1] is None) == (n * b == 0.0)
+        for v0 in (1e6, 1e8, 1e10):
+            a = amplitudes(make_channel(e, v0, b, spin, n))
+            for z, limit, c in zip((a.T, a.Tp), limits, coefficients):
+                if c is not None:
+                    assert v0 * (abs(z) ** 2 / limit - 1.0) == pytest.approx(float(c), rel=1e-4)
+
     def test_tail_is_monotone(self):
         e, b, n = 2.0, 0.2, 1
         t2_inf = klein_limit(Spin.UP, n, e, b)[0]
