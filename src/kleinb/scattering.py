@@ -376,8 +376,16 @@ def spinor_table(k: Kinematics) -> np.ndarray:
     return pairs.reshape(5, 4, eps.size).T
 
 
-def _boundary_solve(k: Kinematics):
-    """Oracle amplitudes (N, 4) = (R, Rp, T, Tp) and the mask of failed points."""
+def _boundary_solve(k: Kinematics, pool=None):
+    """Oracle amplitudes (N, 4) = (R, Rp, T, Tp) and the mask of failed points.
+
+    The systems are built, and the solutions checked, on the calling
+    thread.  Given a pool (a concurrent.futures executor), the stacked
+    LAPACK call, which runs with the GIL released, is handed to one of
+    its workers, and a function of no arguments that returns the pair
+    is returned instead: it waits for the worker's solve, or, if no
+    worker has started it yet, cancels it and solves on its own thread.
+    """
     # piece j, component i, points contiguous: the columns are scaled in place
     pieces, nl = spinor_table(k).T, k.nl
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,8 +401,19 @@ def _boundary_solve(k: Kinematics):
     if failed.any():
         a[failed] = np.eye(4)
         rhs[failed] = 0.0
+    if pool is None:
+        return _checked(_solve(a, rhs, failed), failed)
+    # the finite check stays with the reader: each numpy call on the worker
+    # hands the GIL between the threads, and each handoff costs both a wait
+    solving = pool.submit(_solve, a, rhs, failed)
+    return lambda: _checked(_solve(a, rhs, failed) if solving.cancel() else solving.result(), failed)
+
+
+def _solve(a: np.ndarray, rhs: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """x of the stacked systems a x = rhs; failed, updated in place,
+    also marks the systems LAPACK rejects (their x is NaN)."""
     try:
-        x = np.linalg.solve(a, rhs[..., None])[..., 0]
+        return np.linalg.solve(a, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(rhs.shape, np.nan, dtype=complex)
         for i in range(len(x)):
@@ -402,6 +421,11 @@ def _boundary_solve(k: Kinematics):
                 x[i] = np.linalg.solve(a[i], rhs[i])
             except np.linalg.LinAlgError:
                 failed[i] = True
+        return x
+
+
+def _checked(x: np.ndarray, failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, failed), failed updated in place to mark the non-finite x too."""
     failed |= ~np.all(np.isfinite(x.view(float)), axis=-1)
     return x, failed
 

@@ -7,7 +7,10 @@ conservation, agreement of the closed forms with the boundary-condition
 solve, the field-free reduction, the no-flip anchors, and the up/down
 symmetry of the budgets.  The grid, the spin mirror of its first tenth
 and the flip-scaling family are validated and evaluated as one batch,
-once per run, and every check reads that batch.  The one-point forms
+once per run, and every check reads that batch.  Where the process may
+run on two or more CPUs, the grid's stacked 4x4 oracle solve runs on a
+worker of wavefield's thread pool while the closed forms are evaluated;
+on one CPU it runs inline.  The one-point forms
 of the sampler, of the grid's points and of the closed-form/solver
 comparison, which only the tests loop over, are in tests/_points.py.
 A failing check names its worst point as a `kleinb amps` command line.
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import wavefield
 from .scattering import (
     BatchAmplitudes,
     Kinematics,
@@ -30,6 +35,9 @@ from .scattering import (
     _mask_kinematics,
 )
 from .states import EVANESCENT, Spin
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 DEFAULT_SEED = 20240913
 SEED_ENV_VAR = "KLEINB_SEED"
@@ -64,9 +72,11 @@ BLOCK_SIZE = 1024
 #: Largest grid sample_grid and run() accept.  The stacked (N, 4, 4)
 #: complex oracle solve dominates the memory: the grid, with the spin
 #: mirror of its first tenth evaluated in its batch, and the spinor table
-#: the solve scales in place, with its right-hand sides, peak at ~0.75 KiB
-#: per point (tracemalloc), and run(MAX_SELFTEST_POINTS) peaked at
-#: 354 MiB RSS and took 0.9 to 1.2 s on a 2-core x86-64 host.
+#: the solve scales in place, with its right-hand sides.  On a 2-core
+#: x86-64 host run(MAX_SELFTEST_POINTS), in a fresh process, took 0.59
+#: to 0.77 s and peaked at 410 to 423 MiB RSS, the scaled table being
+#: held while the closed forms are evaluated beside its solve; pinned to
+#: one CPU it took 0.74 to 0.79 s and peaked at 356 to 360 MiB.
 MAX_SELFTEST_POINTS = 400_000
 
 #: Field ratios are drawn uniformly from [0, B_MAX), except for a b = 0
@@ -125,8 +135,10 @@ def sample_grid(points: int, seed: int | None = None) -> SampledGrid:
 
     Candidates are drawn in blocks of BLOCK_SIZE (see _draw_block) and
     the first `points` kept ones form the grid.  The grid and the points
-    beside it are validated and evaluated as one batch.  Raises
-    ValueError unless 1 <= points <= MAX_SELFTEST_POINTS.
+    beside it are validated and evaluated as one batch.  On two or more
+    CPUs the grid's boundary systems are built first and their solve is
+    handed to the pool (see SampledGrid).  Raises ValueError
+    unless 1 <= points <= MAX_SELFTEST_POINTS.
     """
     if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
         raise ValueError(f"selftest points must be an integer, got {points!r}")
@@ -134,10 +146,15 @@ def sample_grid(points: int, seed: int | None = None) -> SampledGrid:
         raise ValueError(f"selftest points must be in [1, {MAX_SELFTEST_POINTS}], got {points}")
     (E, V0, b, n, up), pairs = _suite_points(points, seed)
     k, shape = _mask_kinematics(E, V0, b, n, up)
+    # the grid's oracle solve releases the GIL: given a second CPU, a
+    # worker solves while this thread evaluates the closed forms
+    oracle = None
+    if wavefield._cpu_count() >= 2:
+        oracle = _boundary_solve(Kinematics(*(x[:points] for x in k)), wavefield._executor())
     batch = GridBatch(E, V0, b, n, np.where(up, Spin.UP, Spin.DOWN), _evaluate(k, shape), k)
     mirrored = points + pairs.size
-    return SampledGrid(**vars(batch[:points]), pairs=pairs,
-                       mirror=batch[points:mirrored].amps, family=batch[mirrored:])
+    return SampledGrid(**vars(batch[:points]), pairs=pairs, mirror=batch[points:mirrored].amps,
+                       family=batch[mirrored:], oracle=oracle)
 
 
 @dataclass
@@ -196,12 +213,16 @@ class SampledGrid(GridBatch):
     indices of the first tenth's (max(1, points // 10)) points with
     n != 0, and mirror their amplitudes with the spin flipped.  family
     is the flip-scaling family: E = 2, V0 = 6, b = logspace(-8, -4, 9),
-    (up, n = 1).  Sub-grids are plain GridBatch.
+    (up, n = 1).  Where the process may run on two or more CPUs, oracle
+    returns the grid's boundary solve, started on a worker of the shared
+    pool (see scattering._boundary_solve); elsewhere it is None and
+    check_oracle solves inline.  Sub-grids are plain GridBatch.
     """
 
     pairs: np.ndarray
     mirror: BatchAmplitudes
     family: GridBatch
+    oracle: Callable[[], tuple[np.ndarray, np.ndarray]] | None
 
 
 def _result(name: str, passed: bool, detail: str, grid: GridBatch, at, score) -> CheckResult:
@@ -232,9 +253,11 @@ def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
 
 
 def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
-    """Closed forms match the 4x4 boundary solve component-wise."""
+    """Closed forms match the 4x4 boundary solve component-wise: the
+    solve sample_grid started, or, without one, a solve run here."""
     a = grid.amps
-    solved, failed = _boundary_solve(grid.kin)
+    oracle = getattr(grid, "oracle", None)
+    solved, failed = _boundary_solve(grid.kin) if oracle is None else oracle()
     deviation = np.where(
         failed, np.inf, _deviation(np.stack([a.R, a.Rp, a.T, a.Tp]), np.moveaxis(solved, -1, 0))
     )
@@ -324,11 +347,13 @@ def run(points: int = 10000, seed: int | None = None) -> list[CheckResult]:
     (checked by sample_grid before any array is built).
     """
     grid = sample_grid(points, seed)
-    return [
+    results = [
         check_unitarity(grid),
-        check_oracle(grid),
         check_field_free(grid),
         check_lowest_state_noflip(grid),
         check_flip_scaling(grid.family),
         check_spin_symmetry(grid),
     ]
+    # the oracle is read last, so that a pooled solve has the longest to finish
+    results.insert(1, check_oracle(grid))
+    return results

@@ -66,13 +66,14 @@ def _cpu_count() -> int:
 
 
 def _executor():
-    """The thread pool of _outer, created on first use."""
+    """The process's thread pool, created on first use: _outer's row
+    blocks and the selftest's oracle solve run on its workers."""
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                                       thread_name_prefix="kleinb-outer")
+                                       thread_name_prefix="kleinb")
         return _pool
 
 

@@ -1,15 +1,20 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import kleinb.scattering
 import kleinb.selftest
-from kleinb import Spin
+from kleinb import Spin, wavefield
 from kleinb.states import REGIMES
 from kleinb.cli import main
 from kleinb.scattering import _evaluate, _mask_kinematics, _spin_up, amplitudes_batch, solve_boundary_batch
@@ -329,6 +334,134 @@ def test_run_validates_and_solves_once(monkeypatch):
     calls["_spin_up"] = 0
     assert all(r.passed for r in run(1000, 1))
     assert calls == {"_mask_kinematics": 1, "_evaluate": 1, "_boundary_solve": 1, "_spin_up": 0}
+
+
+class SolveFailed(Exception):
+    pass
+
+
+class TestPooledOracle:
+    """Where the process may run on two or more CPUs, sample_grid hands the
+    grid's stacked oracle solve to a worker of wavefield's pool, and
+    check_oracle reads its result; a solve no worker has started by then,
+    and every solve on one CPU, runs on the caller's thread.  Either way
+    every result is the same, bit for bit."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: count)
+
+    @classmethod
+    def pooled(cls, monkeypatch):
+        """Two CPUs, and the futures of the solves handed to the pool."""
+        futures, executor = [], wavefield._executor
+
+        class Recorded:
+            def submit(self, fn, *args):
+                futures.append(executor().submit(fn, *args))
+                return futures[-1]
+
+        cls.cpus(monkeypatch, 2)
+        monkeypatch.setattr(wavefield, "_executor", Recorded)
+        return futures
+
+    @pytest.mark.parametrize("grid_seed", [1, 2, 3])
+    @pytest.mark.parametrize("points", [1, 11, 2000, 20000])
+    def test_output_same_on_any_cpu_count(self, monkeypatch, capsys, grid_seed, points):
+        outputs = {}
+        for count in (1, 2, 8):
+            self.cpus(monkeypatch, count)
+            assert (sample_grid(points, grid_seed).oracle is None) == (count == 1)
+            lines = [r.line() for r in run(points, grid_seed)]
+            assert main(["selftest", "--points", str(points), "--seed", str(grid_seed)]) == 0
+            outputs[count] = lines, capsys.readouterr()
+        assert outputs[2] == outputs[1] and outputs[8] == outputs[1]
+
+    def test_solve_exception_raised_to_caller(self, monkeypatch):
+        # the worker's exception is kept in its future and raised from
+        # check_oracle, which does not wait for a result that never comes
+        caller = threading.current_thread()
+
+        def failing(*args, **kwargs):
+            raise SolveFailed("caller" if threading.current_thread() is caller else "worker")
+
+        futures = self.pooled(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        grid = sample_grid(1000, 1)
+        assert isinstance(futures[0].exception(timeout=10), SolveFailed)
+        with pytest.raises(SolveFailed, match="^worker$"):
+            check_oracle(grid)
+        with pytest.raises(SolveFailed):
+            run(1000, 1)
+
+    def test_batch_linalg_error_falls_back_per_point(self, monkeypatch):
+        # a stacked solve LAPACK rejects is redone point by point on the
+        # worker; a point that fails on its own is marked failed, and the
+        # check names it
+        futures = self.pooled(monkeypatch)
+        want, want_failed = solve_boundary_batch(*grid_arrays(sample_grid(300, 2)))
+        solve, calls, bad = np.linalg.solve, [], 7
+
+        def stacked_rejected(a, b):
+            calls.append((a.ndim, threading.current_thread()))
+            if a.ndim == 3 or len(calls) == 2 + bad:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", stacked_rejected)
+        grid = sample_grid(300, 2)
+        futures[-1].result(timeout=10)
+        got, failed = grid.oracle()
+        assert [ndim for ndim, _ in calls] == [3] + [2] * 300
+        assert threading.current_thread() not in {thread for _, thread in calls}
+        assert np.flatnonzero(failed).tolist() == [bad] and not want_failed.any()
+        keep = np.arange(300) != bad
+        assert np.array_equal(bits(got[keep]), bits(want[keep]))
+        result = check_oracle(grid)
+        assert not result.passed and result.detail.endswith(f"worst point: {grid.reproducer(bad)}")
+
+    def test_solve_not_started_runs_on_the_caller(self, monkeypatch):
+        # a solve no worker has started when check_oracle reads it is
+        # cancelled and run by the caller, which waits for no worker
+        queued = []
+
+        class Queue:
+            def submit(self, fn, *args):
+                queued.append(concurrent.futures.Future())
+                return queued[-1]
+
+        want = [r.line() for r in run(2000, 1)]
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(wavefield, "_executor", Queue)
+        got = []
+        reader = threading.Thread(target=lambda: got.append([r.line() for r in run(2000, 1)]),
+                                  daemon=True)
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive() and got == [want]
+        assert len(queued) == 1 and queued[0].cancelled()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_gets_a_working_pool(self, monkeypatch):
+        # a child inherits the pool object but not its threads; without the
+        # at-fork hook no worker of the child's pool runs its oracle solve
+        futures = self.pooled(monkeypatch)
+        grid = sample_grid(2000, 1)
+        futures[-1].result(timeout=10)
+        want = check_oracle(grid).line()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)
+                grid = sample_grid(2000, 1)
+                futures[-1].result(timeout=10)
+                code = 0 if check_oracle(grid).line() == want else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, f"child status {status:#x}"
 
 
 class TestSeed:
