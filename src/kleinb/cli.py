@@ -303,10 +303,6 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def emit_json(record: dict) -> None:
-    print(_json_value(record))
-
-
 def _add_channel_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument("--E", type=float, required=required, help="total energy (mc^2 units)")
     parser.add_argument("--V0", type=float, required=required, help="step height (mc^2 units)")
@@ -340,7 +336,7 @@ def _point_record(params: ChannelParams) -> dict:
 
 def cmd_amps(args) -> int:
     params = make_channel(args.E, args.V0, args.b, args.spin, args.n)
-    emit_json(_point_record(params))
+    print(_json_value(_point_record(params)))
     return EXIT_OK
 
 
@@ -480,12 +476,24 @@ _SWEEP_KEYS = {
 }
 
 
+def _one_axis_source(given: dict, prefix: str, where: str) -> None:
+    """ValueError, naming the keys and where they were given, if `given`
+    (the command line's flags or the config file's keys) holds values
+    together with any of start, stop and count."""
+    ranged = [prefix + key for key in ("start", "stop", "count") if given.get(key) is not None]
+    if given.get("values") is not None and ranged:
+        raise ValueError(f"{where}{prefix}values excludes {', '.join(ranged)}: "
+                         f"give the axis values or a range, not both")
+
+
 def cmd_sweep(args) -> int:
+    _one_axis_source(vars(args), "--", "")
     if args.config:
         cfg = _read_config(args.config)
         unknown = sorted(set(cfg) - set(_SWEEP_KEYS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        _one_axis_source(cfg, "", f"{args.config}: ")
         # flags given on the command line win, and an axis given as
         # --start/--stop wins over the file's values; config fills the rest
         ranged = args.start is not None or args.stop is not None
@@ -582,21 +590,21 @@ def cmd_field(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             _write_csv(fh, "z,density", blocks())
         written["csv"] = args.csv
-    emit_json({
+    print(_json_value({
         "regime": field.amps.regime.value,
         "ny": int(field.y.size), "nz": int(field.z.size),
         "y0": field.y0,
         "files": written,
-    })
+    }))
     return EXIT_OK
 
 
 def cmd_klein_limit(args) -> int:
     t2, tp2 = klein_limit(args.spin, args.n, args.E, args.b)
-    emit_json({
+    print(_json_value({
         "E": args.E, "b": args.b, "n": args.n, "spin": args.spin.value,
         "T2_inf": t2, "Tp2_inf": tp2,
-    })
+    }))
     return EXIT_OK
 
 
@@ -616,7 +624,7 @@ def cmd_filter_delay(args) -> int:
         record["cp_up"], record["cp_down"] = cp_up, cp_down
     if args.si:
         record["delay_si_seconds"] = delay * COMPTON_TIME_S
-    emit_json(record)
+    print(_json_value(record))
     return EXIT_OK
 
 

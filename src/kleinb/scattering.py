@@ -251,7 +251,7 @@ class BatchAmplitudes:
     amplitudes_batch.  regime holds indices into states.REGIMES.  Points
     flagged in singular lie within SINGULAR_TOL of V0 = E + 1, where the
     scalar functions raise SingularStep; their amplitudes and fractions
-    are NaN.  The arrays of amplitudes_batch's result (see _frozen) and
+    are NaN.  The arrays of amplitudes_batch's result and
     of a selftest grid (see selftest.GridBatch) are read-only: a write
     into one would leave the fields computed from it stale.
     """
@@ -270,13 +270,6 @@ class BatchAmplitudes:
     @property
     def sum(self) -> np.ndarray:
         return self.refl_same + self.refl_flip + self.trans_same + self.trans_flip
-
-
-def _frozen(batch: BatchAmplitudes) -> BatchAmplitudes:
-    """batch with read-only views of its arrays.  Only the public batch
-    results are frozen: the scalar functions read _evaluate's batch once
-    and pay nothing for it."""
-    return BatchAmplitudes(*map(_read_only, vars(batch).values()))
 
 
 def _spin_up(spin) -> np.ndarray:
@@ -320,7 +313,10 @@ def amplitudes_batch(E, V0, b, n, spin) -> BatchAmplitudes:
     scalar amplitudes and current_budget return the same numbers bit for
     bit.
     """
-    return _frozen(_evaluate(*_mask_kinematics(E, V0, b, n, _spin_up(spin))))
+    batch = _evaluate(*_mask_kinematics(E, V0, b, n, _spin_up(spin)))
+    # only the public batch results are frozen: the scalar functions read
+    # _evaluate's batch once and pay nothing for it
+    return BatchAmplitudes(*map(_read_only, vars(batch).values()))
 
 
 def _evaluate(k: Kinematics, shape: tuple) -> BatchAmplitudes:

@@ -84,12 +84,37 @@ MAX_SELFTEST_POINTS = 400_000
 B_MAX = 1.0
 B_ZERO_FRACTION = 0.15
 
+#: Levels are drawn uniformly from 0..N_MAX.
+N_MAX = 20
 
-def _draw_block(rng: np.random.Generator, size: int, n_max: int = 20) -> tuple[np.ndarray, ...]:
+#: The sampler skips the sliver |E + 1 - V0| < SLIVER_FRACTION (1 + V0)
+#: around the kinematic singularity: the 4x4 boundary solve is ill
+#: conditioned there (cond ~ 1/|eps_bar|), so the closed-form/solver
+#: agreement bound cannot hold on it.
+SLIVER_FRACTION = 2e-3
+
+# The gates of the checks, each read by its check when it runs.  They
+# are floors: a gate may be tightened, never loosened.
+
+#: Largest |sum - 1| of the four current fractions.
+CONSERVATION_TOL = 1e-12
+#: Largest scaled component deviation of the closed forms from the 4x4 solve.
+ORACLE_TOL = 1e-12
+#: Largest |R - (1 - kappa)/(1 + kappa)| at b = 0.
+FIELD_FREE_R_TOL = 1e-13
+#: Largest ||R|^2 - 1| at b = 0 in the evanescent regime.
+EVANESCENT_TOL = 1e-14
+#: Largest difference of a budget fraction between (up, n) and (down, n).
+SYMMETRY_TOL = 1e-14
+#: Largest |slope - 0.5| of the flip family's log |Rp| against log b.
+SLOPE_TOL = 0.01
+
+
+def _draw_block(rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
     """Draw `size` candidate channels as arrays, stratified uniformly over
     the regimes (V0 target), with a b = 0 stratum of B_ZERO_FRACTION;
     returns (E, V0, b, n, up) of the candidates off the V0 = E + 1 sliver."""
-    n = rng.integers(0, n_max + 1, size)
+    n = rng.integers(0, N_MAX + 1, size)
     up = (n != 0) & (rng.random(size) < 0.5)
     b = np.where(rng.random(size) < B_ZERO_FRACTION, 0.0, rng.uniform(0.0, B_MAX, size))
     m = np.sqrt(1.0 + 2.0 * b * n)
@@ -101,10 +126,7 @@ def _draw_block(rng: np.random.Generator, size: int, n_max: int = 20) -> tuple[n
     x = lo + (hi - lo) * rng.random(size)
     v0 = np.where(target == 0, (e + m) * (1.0 + x),
                   np.where(target == 1, (e - m) * x, e - m + 2.0 * m * x))
-    # stay clear of the kinematic singularity: the 4x4 boundary solve is
-    # ill conditioned there (cond ~ 1/|eps_bar|), so the closed-form/solver
-    # agreement bound cannot hold on the sliver
-    keep = np.abs(e + 1.0 - v0) >= 2e-3 * (1.0 + v0)
+    keep = np.abs(e + 1.0 - v0) >= SLIVER_FRACTION * (1.0 + v0)
     return e[keep], v0[keep], b[keep], n[keep], up[keep]
 
 
@@ -242,17 +264,18 @@ def _deviation(closed: np.ndarray, solved: np.ndarray) -> np.ndarray:
     return np.abs(closed - solved).max(axis=0) / scale
 
 
-def check_unitarity(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
+def check_unitarity(grid: GridBatch) -> CheckResult:
     """Sum of the four current fractions is 1 at every grid point."""
     residual = np.abs(grid.amps.sum - 1.0)
     worst = float(residual.max(initial=0.0))
     return _result(
-        "current conservation", worst < tol,
-        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {tol:g})", grid, None, residual,
+        "current conservation", worst < CONSERVATION_TOL,
+        f"max |sum - 1| = {worst:.3e} over {len(grid)} points (tol {CONSERVATION_TOL:g})",
+        grid, None, residual,
     )
 
 
-def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
+def check_oracle(grid: GridBatch) -> CheckResult:
     """Closed forms match the 4x4 boundary solve component-wise: the
     solve sample_grid started, or, without one, a solve run here."""
     a = grid.amps
@@ -263,13 +286,13 @@ def check_oracle(grid: GridBatch, tol: float = 1e-12) -> CheckResult:
     )
     worst = float(deviation.max(initial=0.0))
     return _result(
-        "boundary-solve agreement", worst < tol,
-        f"max component deviation = {worst:.3e} over {len(grid)} points (tol {tol:g})",
+        "boundary-solve agreement", worst < ORACLE_TOL,
+        f"max component deviation = {worst:.3e} over {len(grid)} points (tol {ORACLE_TOL:g})",
         grid, None, deviation,
     )
 
 
-def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
+def check_field_free(grid: GridBatch) -> CheckResult:
     """b = 0: flips vanish exactly, R matches the kappa closed form,
     and the evanescent regime reflects totally."""
     at = np.flatnonzero(grid.b == 0.0)
@@ -287,12 +310,13 @@ def check_field_free(grid: GridBatch, tol: float = 1e-13) -> CheckResult:
     flips_zero = not flipped.any()
     worst_r = float(err_r.max(initial=0.0))
     worst_total = float(err_total.max(initial=0.0))
-    ok = flips_zero and worst_r < tol and worst_total < 1e-14
+    ok = flips_zero and worst_r < FIELD_FREE_R_TOL and worst_total < EVANESCENT_TOL
     return _result(
         "field-free reduction", ok,
         f"{at.size} points: flips exactly zero = {flips_zero}, "
         f"max |R - (1-k)/(1+k)| = {worst_r:.3e}, max ||R|^2 - 1| (evanescent) = {worst_total:.3e}",
-        grid, at, np.where(flipped, np.inf, np.maximum(err_r / tol, err_total / 1e-14)),
+        grid, at,
+        np.where(flipped, np.inf, np.maximum(err_r / FIELD_FREE_R_TOL, err_total / EVANESCENT_TOL)),
     )
 
 
@@ -314,12 +338,12 @@ def check_flip_scaling(family: GridBatch) -> CheckResult:
     # least-squares slope of log|Rp| against log b
     slope = float(x @ np.log(np.abs(family.amps.Rp)) / (x @ x))
     return CheckResult(
-        "flip-amplitude field scaling", abs(slope - 0.5) < 0.01,
-        f"log-log slope = {slope:.6f} (want 0.5 +- 0.01)",
+        "flip-amplitude field scaling", abs(slope - 0.5) < SLOPE_TOL,
+        f"log-log slope = {slope:.6f} (want 0.5 +- {SLOPE_TOL:g})",
     )
 
 
-def check_spin_symmetry(grid: SampledGrid, tol: float = 1e-14) -> CheckResult:
+def check_spin_symmetry(grid: SampledGrid) -> CheckResult:
     """(up, n) and (down, n) give identical budgets and opposite flip signs:
     the amplitudes of each mirrored grid point against its spin mirror."""
     at, own, mirror = grid.pairs, grid.amps, grid.mirror
@@ -333,7 +357,7 @@ def check_spin_symmetry(grid: SampledGrid, tol: float = 1e-14) -> CheckResult:
     worst = float(diff.max(initial=0.0))
     signs_ok = bool(exact.all())
     return _result(
-        "up/down symmetry", worst < tol and signs_ok,
+        "up/down symmetry", worst < SYMMETRY_TOL and signs_ok,
         f"max budget difference = {worst:.3e} over {at.size} pairs, exact sign flip = {signs_ok}",
         grid, at, np.where(exact, diff, np.inf),
     )

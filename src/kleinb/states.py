@@ -100,7 +100,8 @@ class IncomingState:
     label n: spin-up means the member with orbital index n - 1, spin-down
     the member with orbital index n.  Spin-up therefore requires n >= 1;
     (down, n = 0) is the single non-degenerate lowest state.  spin must
-    be a Spin member and n keeps the n rules of CHANNEL_RULES.
+    be a Spin member and n keeps the n rules of CHANNEL_RULES; a numpy
+    integer n is kept as an int.
     """
 
     spin: Spin
@@ -110,6 +111,7 @@ class IncomingState:
         if not isinstance(self.spin, Spin):
             raise InvalidSpinIndex(f"spin must be a Spin member, got {self.spin!r}")
         check_rules(LEVEL_RULES, n=self.n, up=self.spin is Spin.UP)
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,9 @@ def make_channel(E: float, V0: float, b: float, spin: Spin | str, n: int) -> Cha
     Raises ValueError for a spin parse_spin rejects, then the error of
     the first rule of CHANNEL_RULES the point breaks: NegativeField for
     a non-finite or negative b, InvalidSpinIndex for an n that is not an
-    int in [0, MAX_LEVEL] and for (up, 0), ValueError for non-finite or
-    out-of-range E and V0, and ClosedChannel for E^2 <= 1 + 2 b n.
+    int or numpy integer in [0, MAX_LEVEL] and for (up, 0), ValueError
+    for non-finite or out-of-range E and V0, and ClosedChannel for
+    E^2 <= 1 + 2 b n.
     broken_rules applies the same table over arrays.
     """
     return ChannelParams(
@@ -198,7 +201,7 @@ CHANNEL_RULES = (
     (lambda p: np.isfinite(p.b), NegativeField, lambda p: f"field ratio b must be finite, got {p.b}"),
     (lambda p: p.b >= 0.0, NegativeField, lambda p: f"field ratio b must be >= 0, got {p.b}"),
     (lambda p: (np.isfinite(p.n) & (p.n == np.floor(p.n)) if isinstance(p.n, np.ndarray)
-                else isinstance(p.n, int) and not isinstance(p.n, bool)),
+                else isinstance(p.n, (int, np.integer)) and not isinstance(p.n, bool)),
      InvalidSpinIndex, lambda p: f"channel index n must be an integer, got {p.n!r}"),
     (lambda p: p.n >= 0, InvalidSpinIndex, lambda p: f"channel index n must be >= 0, got {int(p.n)}"),
     (lambda p: p.n <= MAX_LEVEL, InvalidSpinIndex,

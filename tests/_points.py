@@ -8,13 +8,13 @@ from functools import partial
 import numpy as np
 
 from kleinb.scattering import NEAR_SINGULAR_FRACTION, SINGULAR_TOL, amplitudes, solve_boundary_system
-from kleinb.selftest import _deviation, _draw_block
+from kleinb.selftest import N_MAX, SLIVER_FRACTION, _deviation, _draw_block
 from kleinb.states import ChannelParams, Spin, channel_valid, make_channel
 
 
 def in_sliver(E, V0):
     """The points next to V0 = E + 1 that selftest._draw_block skips."""
-    return np.abs(E + 1.0 - V0) < 2e-3 * (1.0 + V0)
+    return np.abs(E + 1.0 - V0) < SLIVER_FRACTION * (1.0 + V0)
 
 
 def _on_grid(v0):
@@ -56,7 +56,7 @@ STRATA = {  # name: (n_max, b, draw, keep)
     "band": (20, _unit, _on_grid(lambda E, U, sign: (E + 1.0) * (1.0 + sign() * 10.0 ** U(-11.0, -2.3))),
              lambda E, V0, m, flat: (np.abs(E + 1.0 - V0) < NEAR_SINGULAR_FRACTION * (1.0 + V0))
              & (flat | _off(E, V0, m))),
-    "sliver": (20, _unit, _on_grid(lambda E, U, sign: (E + 1.0) * (1.0 + sign() * 10.0 ** U(-12.0, np.log10(2e-3)))),
+    "sliver": (20, _unit, _on_grid(lambda E, U, sign: (E + 1.0) * (1.0 + sign() * 10.0 ** U(-12.0, np.log10(SLIVER_FRACTION)))),
                lambda E, V0, m, flat: in_sliver(E, V0)),
     "edge": (20, _unit, _edge, None),
     "low_step": (20, _unit, lambda U, sign, m: (m * 10.0 ** U(np.log10(1.1), 8.0), 10.0 ** U(-12.0, 0.0)), None),
@@ -91,18 +91,19 @@ def strata(rng: np.random.Generator, size: int, *names: str) -> tuple[np.ndarray
     return tuple(np.concatenate(c) for c in zip(*columns))
 
 
-def sample_params(rng: np.random.Generator, n_max: int = 20) -> ChannelParams:
-    """One random open channel, drawn by the rule of sample_grid."""
+def sample_params(rng: np.random.Generator, n_max: int = N_MAX) -> ChannelParams:
+    """One random open channel, drawn by the rule of sample_grid; draws
+    with n > n_max are skipped."""
     while True:
-        e, v0, b, n, up = _draw_block(rng, 1, n_max)
-        if e.size:
-            return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, int(n[0]))
+        e, v0, b, n, up = _draw_block(rng, 1)
+        if e.size and n[0] <= n_max:
+            return make_channel(e[0], v0[0], b[0], Spin.UP if up[0] else Spin.DOWN, n[0])
 
 
 def channels(grid):
     """The points of a selftest grid as ChannelParams, in order."""
     for i in range(len(grid)):
-        yield make_channel(grid.E[i], grid.V0[i], grid.b[i], grid.spin[i], int(grid.n[i]))
+        yield make_channel(grid.E[i], grid.V0[i], grid.b[i], grid.spin[i], grid.n[i])
 
 
 def amplitude_deviation(params: ChannelParams) -> float:

@@ -247,6 +247,35 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--count", "3")
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--values", "5", "--start", "2", "--stop", "3", "--count", "2"], "--start, --stop, --count"),
+        (["--values", "5", "--count", "2"], "--count"),
+        (["--start", "2", "--values", "5"], "--start"),
+    ])
+    def test_values_with_a_flag_range_rejected(self, capsys, flags, named):
+        # values and a range from the command line: neither is dropped silently
+        code, out, err = run_cli(capsys, "sweep", "--axis", "E", *flags,
+                                 "--V0", "1", "--b", "0.1", "--n", "1", "--spin", "up")
+        assert code == 2 and out == ""
+        assert err == f"error: ValueError: --values excludes {named}: give the axis values or a range, not both\n"
+
+    def test_values_with_a_config_range_rejected(self, capsys, tmp_path):
+        # values and a range from the file: the error names the file and its keys
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = E\nvalues = 2,3\nstop = 6\ncount = 3\nV0 = 0\nb = 0.1\nn = 1\nspin = up\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == (f"error: ValueError: {cfg}: values excludes stop, count: "
+                       f"give the axis values or a range, not both\n")
+
+    def test_flag_values_win_over_config_range(self, capsys, tmp_path):
+        # --values on the command line replaces the file's range
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = E\nstart = 5\nstop = 6\ncount = 3\nV0 = 0\nb = 0.1\nn = 1\nspin = up\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--values", "2,3")
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
+
     def test_one_rule_pass_per_chunk(self, capsys, monkeypatch):
         # broken_rules names every row's error in one call per chunk, and
         # channel_valid does not run

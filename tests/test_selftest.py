@@ -1,12 +1,8 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import re
 import shlex
-import signal
-import sys
 import threading
 
 import numpy as np
@@ -35,6 +31,7 @@ from kleinb.selftest import (
 )
 
 from _points import channels, in_sliver, sample_params
+from _pool import forking, in_forked_child, never_started
 
 
 def grid_arrays(grid):
@@ -96,6 +93,21 @@ class TestSampleGrid:
         for array in vars(param_grid.mirror).values():
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize("grid_seed, first", [
+        (1, ["kleinb amps --E 1.673563370731204 --V0 4.644795542115744 --b 0.09265999234569544 --n 9 --spin down",
+             "kleinb amps --E 2.754797433144352 --V0 13.35824300744419 --b 0.3253723149622051 --n 10 --spin up",
+             "kleinb amps --E 12.00395981491915 --V0 32.86989181694903 --b 0.13255613145915135 --n 15 --spin down"]),
+        (DEFAULT_SEED,
+         ["kleinb amps --E 2.8928119920306807 --V0 0.21139214122241268 --b 0.7097310249863208 --n 4 --spin down",
+          "kleinb amps --E 1.1924520226683837 --V0 0.048631669403497134 --b 0.0 --n 15 --spin up",
+          "kleinb amps --E 1.148235367056489 --V0 3.509418417290105 --b 0.34187149123249827 --n 0 --spin down"]),
+    ])
+    def test_first_points_pinned(self, grid_seed, first):
+        # printed reproducers and the seeds CI runs name these points: a
+        # change to the sampler's stream must fail here, not pass unseen
+        grid = sample_grid(3, grid_seed)
+        assert [grid.reproducer(i) for i in range(3)] == first
+
     @pytest.mark.parametrize("points", [0, -5, MAX_SELFTEST_POINTS + 1, 2.5, True])
     def test_points_bounded(self, points):
         with pytest.raises(ValueError, match="points"):
@@ -127,6 +139,23 @@ class TestSampleParams:
         klein, above = V0 - m > E, E > V0 + m
         assert klein.any() and above.any() and (~klein & ~above).any()
 
+    def test_default_cap_pinned(self):
+        # at the default cap no draw is skipped: sample_params draws the
+        # points it drew when _draw_block took the cap as an argument
+        rng = np.random.default_rng(1)
+        points = [(repr(p.E), repr(p.V0), repr(p.field.b), p.n, p.spin) for p in
+                  (sample_params(rng) for _ in range(2))]
+        assert points == [("1.0142487370658095", "0.005730273901192414", "0.0", 9, Spin.DOWN),
+                          ("1.8226138332485795", "1.9086012093916416", "0.027559113243068367", 5, Spin.UP)]
+
+
+def test_gates_are_floors():
+    # the selftest's gates and its sliver are floors: none may be loosened
+    s = kleinb.selftest
+    gates = (s.CONSERVATION_TOL, s.ORACLE_TOL, s.FIELD_FREE_R_TOL, s.EVANESCENT_TOL, s.SYMMETRY_TOL,
+             s.SLOPE_TOL, s.SLIVER_FRACTION)
+    assert all(g <= floor for g, floor in zip(gates, (1e-12, 1e-12, 1e-13, 1e-14, 1e-14, 0.01, 2e-3)))
+
 
 class TestRun:
     @pytest.mark.parametrize("grid_seed", range(1, 51))
@@ -145,9 +174,11 @@ class TestRun:
 
 class TestFailureNamesPoint:
     @pytest.mark.parametrize("check", [check_unitarity, check_oracle])
-    def test_printed_command_reproduces_worst_point(self, capsys, seed, check):
+    def test_printed_command_reproduces_worst_point(self, monkeypatch, capsys, seed, check):
         grid = sample_grid(40, seed)
-        result = check(grid, tol=0.0)
+        gate = {check_unitarity: "CONSERVATION_TOL", check_oracle: "ORACLE_TOL"}[check]
+        monkeypatch.setattr(kleinb.selftest, gate, 0.0)
+        result = check(grid)
         assert not result.passed
         assert result.line().startswith("FAIL")
         command = result.detail.split("worst point: ")[1]
@@ -423,16 +454,9 @@ class TestPooledOracle:
     def test_solve_not_started_runs_on_the_caller(self, monkeypatch):
         # a solve no worker has started when check_oracle reads it is
         # cancelled and run by the caller, which waits for no worker
-        queued = []
-
-        class Queue:
-            def submit(self, fn, *args):
-                queued.append(concurrent.futures.Future())
-                return queued[-1]
-
         want = [r.line() for r in run(2000, 1)]
         self.cpus(monkeypatch, 2)
-        monkeypatch.setattr(wavefield, "_executor", Queue)
+        queued = never_started(monkeypatch)
         got = []
         reader = threading.Thread(target=lambda: got.append([r.line() for r in run(2000, 1)]),
                                   daemon=True)
@@ -441,8 +465,7 @@ class TestPooledOracle:
         assert not reader.is_alive() and got == [want]
         assert len(queued) == 1 and queued[0].cancelled()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    @forking
     def test_forked_child_gets_a_working_pool(self, monkeypatch):
         # a child inherits the pool object but not its threads; without the
         # at-fork hook no worker of the child's pool runs its oracle solve
@@ -450,18 +473,13 @@ class TestPooledOracle:
         grid = sample_grid(2000, 1)
         futures[-1].result(timeout=10)
         want = check_oracle(grid).line()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(20)
-                grid = sample_grid(2000, 1)
-                futures[-1].result(timeout=10)
-                code = 0 if check_oracle(grid).line() == want else 3
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, f"child status {status:#x}"
+
+        def check():
+            grid = sample_grid(2000, 1)
+            futures[-1].result(timeout=10)
+            return check_oracle(grid).line() == want
+
+        in_forked_child(check, 20)
 
 
 class TestSeed:

@@ -12,18 +12,23 @@ from hypothesis import strategies as st
 
 import kleinb
 from kleinb import (
+    Branch,
     ChannelParams,
     ClosedChannel,
     FieldStrength,
+    FilterSetup,
     IncomingState,
     InvalidSpinIndex,
     NegativeField,
     Regime,
     Spin,
+    amplitudes,
     amplitudes_batch,
+    arrival_delay,
     classify,
     klein_limit,
     make_channel,
+    split_momenta,
 )
 from kleinb.states import (
     CHANNEL_RULES,
@@ -103,6 +108,37 @@ def test_non_integer_index_rejected():
         IncomingState(Spin.DOWN, 1.5)
     with pytest.raises(InvalidSpinIndex):
         IncomingState(Spin.DOWN, -1)
+
+
+def bit_texts(*values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("level", [np.int8, np.int64, np.uint8])
+def test_numpy_integer_levels_accepted(level):
+    # a numpy integer level, as the batch forms take it, gives the results
+    # of the int path bit for bit, and the channel keeps it as an int
+    p, want = make_channel(2.0, 1.0, 0.1, "up", level(1)), make_channel(2.0, 1.0, 0.1, "up", 1)
+    assert p == want and type(p.n) is int and type(p.state.n) is int
+    got, ref = ([f(z) for z in (a.R, a.Rp, a.T, a.Tp) for f in (np.real, np.imag)]
+                for a in (amplitudes(p), amplitudes(want)))
+    assert bit_texts(*got) == bit_texts(*ref)
+    assert bit_texts(*klein_limit("up", level(1), 2.0, 0.1)) == bit_texts(*klein_limit("up", 1, 2.0, 0.1))
+    for branch in ({}, {"branch": Branch.TRANSMITTED, "V0": 0.5}):
+        setup, int_setup = FilterSetup(E=2.0, n=level(1), b=0.1, **branch), FilterSetup(E=2.0, n=1, b=0.1, **branch)
+        assert bit_texts(arrival_delay(setup), *split_momenta(setup)) == \
+            bit_texts(arrival_delay(int_setup), *split_momenta(int_setup))
+
+
+@pytest.mark.parametrize("n", [True, np.bool_(True), 1.0, np.float64(1.0)])
+def test_bool_and_float_levels_rejected(n):
+    message = f"^{re.escape(f'channel index n must be an integer, got {n!r}')}$"
+    with pytest.raises(InvalidSpinIndex, match=message):
+        make_channel(2.0, 1.0, 0.1, "up", n)
+    with pytest.raises(InvalidSpinIndex, match=message):
+        klein_limit("up", n, 2.0, 0.1)
+    with pytest.raises(InvalidSpinIndex, match=message):
+        FilterSetup(E=2.0, n=n, b=0.1)
 
 
 def test_field_strength_derived_quantities():

@@ -1,9 +1,5 @@
-import concurrent.futures
 import math
-import os
 import re
-import signal
-import sys
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -32,6 +28,7 @@ from kleinb.landau import eval_oscillator
 from kleinb.wavefield import GRID_KIND_COMPONENTS, GRID_KIND_FACTORS, MAX_GRID_POINTS, _pieces
 
 from _points import channels, sample_params
+from _pool import forking, in_forked_child, never_started
 
 
 def reference_field(params, y, z, y0=0.0):
@@ -632,23 +629,16 @@ class TestOuterProduct:
     def test_caller_fills_every_block_no_worker_claimed(self, monkeypatch, workers):
         # a worker that has not started when the caller runs out of free
         # blocks must neither hold up the product nor touch it later
-        queued = []
-
-        class Queue:
-            def submit(self, fn, *args):
-                queued.append((fn, args))
-                return concurrent.futures.Future()
-
         monkeypatch.setattr(wavefield, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(wavefield, "_executor", Queue)
+        queued = never_started(monkeypatch)
         trans, profile = random_factors(700, 700)
         want = trans[:, :, None] * profile[:, None, :]
         got = wavefield._outer(trans, profile)
         assert len(queued) == 2 and same_bits(got, want)
         if workers == "late":
             got[...] = 0.0
-            for fn, args in queued:
-                fn(*args)
+            for job in queued:
+                job.fn(*job.args)
             assert not np.any(got)
 
     @staticmethod
@@ -693,8 +683,7 @@ class TestOuterProduct:
         with pytest.raises(BlockFailed, match=f"^{failing}$"):
             wavefield._outer(trans, profile)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork test runs on Linux")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    @forking
     def test_forked_child_gets_a_working_pool(self, monkeypatch):
         # a child inherits the pool object but not its threads; without the
         # at-fork hook no worker of the child's first pooled product runs
@@ -702,17 +691,12 @@ class TestOuterProduct:
         trans, profile = random_factors(512, 512)
         want = trans[:, :, None] * profile[:, None, :]
         assert same_bits(wavefield._outer(trans, profile), want)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.alarm(10)
-                self.worker_fills_a_block(monkeypatch)
-                code = 0 if same_bits(wavefield._outer(trans, profile), want) else 3
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, f"child status {status:#x}"
+
+        def check():
+            self.worker_fills_a_block(monkeypatch)
+            return same_bits(wavefield._outer(trans, profile), want)
+
+        in_forked_child(check, 10)
 
 
 class BlockFailed(Exception):
