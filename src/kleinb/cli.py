@@ -52,9 +52,9 @@ COMPTON_TIME_S = 1.2880886664441626e-21
 
 #: Most rows a sweep or a regime-map writes; checked before any row is
 #: built.  The rows are evaluated and formatted CSV_CHUNK_LINES at a
-#: time, so a full-column E sweep of MAX_CSV_ROWS rows peaked at 41.5 MiB
-#: RSS and took 1.4-1.5 s of wall time, interpreter start included, on a
-#: 2-core x86-64 host (31 MiB for one row), and a regime-map of as many
+#: time, so a full-column E sweep of MAX_CSV_ROWS rows peaked at 41.4 MiB
+#: RSS and took 1.5-1.7 s of wall time, interpreter start included, on a
+#: 2-core x86-64 host (32 MiB for one row), and a regime-map of as many
 #: cells peaked at 47 MiB.
 MAX_CSV_ROWS = 400_000
 
@@ -62,7 +62,7 @@ MAX_CSV_ROWS = 400_000
 #: out at a time by the sweep, regime-map and field slice writers.
 CSV_CHUNK_LINES = 4096
 
-#: Bytes of a row block (see _write_csv) written at a time, its NULs dropped.
+#: Bytes of a row block (see _block_texts) compacted and written at a time.
 WRITE_BYTES = 1 << 17
 
 #: Regime labels, indexed by regime code.
@@ -87,7 +87,8 @@ def fmt(x: float) -> str:
 # CSV numbers as arrays
 #
 # The CSV writers lay out a chunk of rows as one block of 8-byte words
-# whose bytes, the NULs dropped, are the rows' text.  A number fills a
+# whose bytes, the NULs dropped, are the rows' text: _block_texts drops
+# them with one bytes.translate per written piece.  A number fills a
 # cell of CELL_WORDS words: a separator byte (set by the writer) and the
 # sign and "0.000" prefix, right-aligned, in the first word; the 17
 # digits with the point inserted from byte 8; the exponent ("e-308"),
@@ -343,12 +344,21 @@ def cmd_amps(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+#: The text of a config line before its comment: '#' outside quotes
+#: starts one.
+_CONFIG_TEXT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
+
+
 def _read_config(path: str) -> dict:
-    """Flat key = value text; '#' starts a comment, quotes are optional."""
+    """Flat key = value text; '#' outside quotes starts a comment, quotes
+    are optional."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _CONFIG_TEXT.match(raw).group()
+            if raw[len(line):].startswith(("\"", "'")):
+                raise ValueError(f"{path}:{lineno}: unterminated quote in {raw!r}")
+            line = line.strip()
             if not line:
                 continue
             if "=" not in line:
@@ -384,18 +394,34 @@ def _text_words(texts: list[str]) -> np.ndarray:
     return chars.astype(f"S{width}").view(_WORD).reshape(len(texts), width // 8)
 
 
+def _block_texts(block: np.ndarray, order=None):
+    """The text of a block of rows, in pieces: words whose bytes, the
+    NULs dropped, are the rows' text, each row ending in its one newline.
+    With an index array order, the i-th row of the text is row order[i].
+
+    The rows are read WRITE_BYTES of words at a time, and one
+    bytes.translate per piece drops the NULs.  With order, the block's
+    rows are compacted once each into lines, and a piece of the rows of
+    at most WRITE_BYTES of words is joined from them."""
+    chars = block.view(np.uint8)
+    step = max(1, WRITE_BYTES // max(1, chars.shape[1]))
+    texts = (chars[lo:lo + step].tobytes().translate(None, b"\0") for lo in range(0, len(chars), step))
+    if order is not None:
+        lines = b"".join(texts).splitlines(keepends=True)
+        texts = (b"".join([lines[i] for i in order[lo:lo + step].tolist()]) for lo in range(0, len(order), step))
+    for text in texts:
+        yield str(text, "ascii")
+
+
 def _write_csv(out, header: str, blocks) -> None:
-    """Write the header line, then each block of rows: words whose
-    bytes, the NULs dropped, are the rows' text, newlines included.  A
-    block is written WRITE_BYTES of words at a time, so that neither the
-    whole text nor a block's text is held as one string."""
+    """Write the header line, then the text of each block of rows (see
+    _block_texts): a block of words, or a pair (words, order) of a
+    block of distinct rows and the index that lays them out.  The text
+    is written piece by piece, never held whole."""
     out.write(header + "\n")
     for block in blocks:
-        chars = block.view(np.uint8)
-        step = max(1, WRITE_BYTES // max(1, chars.shape[1]))
-        for lo in range(0, len(chars), step):
-            part = chars[lo:lo + step]
-            out.write(str(part[part != 0].data, "ascii"))
+        for text in _block_texts(*block) if isinstance(block, tuple) else _block_texts(block):
+            out.write(text)
 
 
 def _value_column(batch, name: str) -> np.ndarray:
@@ -409,12 +435,12 @@ def _value_column(batch, name: str) -> np.ndarray:
 
 def _distinct(values: np.ndarray) -> tuple:
     """The distinct bit patterns of values (-0.0 and 0.0 apart) and the
-    index that lays them out as values again: values itself and a whole
-    slice where no value repeats, which one sort finds."""
+    index that lays them out as values again: values itself and None
+    where no value repeats, which one sort finds."""
     keys = values.view(np.int64)
     ordered = np.sort(keys)
     if not (ordered[1:] == ordered[:-1]).any():
-        return values, slice(None)
+        return values, None
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return values[first], inverse
 
@@ -425,14 +451,16 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
     they are read.
 
     A row depends on its axis value's bits alone, so each chunk's distinct
-    values are checked, evaluated and laid out once, and a repeated value's
-    row is a copy of the first.  Per chunk, one broken_rules call checks
-    the distinct values against make_channel's rules, and the valid ones
-    are evaluated in one pass of the closed forms.  _float_texts writes the
-    axis values and the value table into the block as arrays.  A row with
-    an error keeps its axis value, its value cells are empty, and its error
-    cell is gathered by its first broken rule (or as SingularStep) from one
-    table.
+    values are checked, evaluated and laid out once.  A chunk with a
+    repeated value comes as the pair of its distinct rows and the index
+    that lays them out as the chunk's rows, so that the writer compacts
+    each distinct row once and writes a repeat from its text.  Per chunk,
+    one broken_rules call checks the distinct values against
+    make_channel's rules, and the valid ones are evaluated in one pass of
+    the closed forms.  _float_texts writes the axis values and the value
+    table into the block as arrays.  A row with an error keeps its axis
+    value, its value cells are empty, and its error cell is gathered by
+    its first broken rule (or as SingularStep) from one table.
     """
     point = {key: level_floats(fixed[key]) if key == "n" else np.asarray(fixed[key], dtype=float)
              for key in ("E", "V0", "b", "n") if key != axis}
@@ -466,7 +494,7 @@ def _sweep_blocks(axis: str, values: np.ndarray, fixed: dict, header: list[str])
         cells[broken != valid] = 0
         cells[..., 0] |= ord(",")
         block[:, -ends.shape[1]:] = ends[broken]
-        yield block[inverse]
+        yield block, inverse
 
 
 _SWEEP_KEYS = {

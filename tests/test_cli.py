@@ -276,6 +276,20 @@ class TestSweep:
         assert code == 0, err
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
 
+    @pytest.mark.parametrize("quoted", ['"out#1.csv"', "'out#1.csv'"])
+    def test_config_hash_inside_quotes(self, capsys, monkeypatch, tmp_path, quoted):
+        # '#' inside quotes is part of the value, and after them starts a comment
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"axis = E\nvalues = 2,3  # two points\nV0 = 0\nb = 0.1\nn = 1\nspin = up\n"
+                       f"output = {quoted}  # the file\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (0, ""), err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out#1.csv", "sweep.cfg"]
+        code, want, _ = run_cli(capsys, "sweep", "--axis", "E", "--values", "2,3", "--V0", "0", "--b", "0.1",
+                                "--n", "1", "--spin", "up")
+        assert (tmp_path / "out#1.csv").read_text() == want
+
     def test_one_rule_pass_per_chunk(self, capsys, monkeypatch):
         # broken_rules names every row's error in one call per chunk, and
         # channel_valid does not run
@@ -305,6 +319,9 @@ class TestSweep:
          "{path}: V0: could not convert string to float: 'zero'"),
         ("axis = V0\nstart = 0\nstop = 1\ncount = many\nE = 2\nb = 0.1\nn = 1\nspin = up\n",
          "{path}: count: invalid literal for int() with base 10: 'many'"),
+        # a quote left open names its line, also where a '#' follows it
+        ("axis = E\noutput = \"out#1.csv\n", "{path}:2: unterminated quote in 'output = \"out#1.csv\\n'"),
+        ("axis = E # sweep\nspin = 'up\n", "{path}:2: unterminated quote in \"spin = 'up\\n\""),
     ])
     def test_bad_config_file_exit(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "sweep.cfg"
@@ -753,6 +770,48 @@ class TestCsvPieces:
         assert run_cli(capsys, *argv) == want
 
 
+def random_rows(rng, rows: int, words: int) -> np.ndarray:
+    """A block of rows of words: printable ASCII with NUL bytes spread in
+    at a random rate, some rows mostly NUL words, and each row's last byte
+    its newline."""
+    chars = rng.integers(32, 127, (rows, words, 8), dtype=np.uint8)
+    chars[rng.random(chars.shape) < rng.random()] = 0
+    sparse = rng.random(rows) < 0.3
+    chars[sparse] *= (rng.random((int(sparse.sum()), words, 1)) < 0.1).astype(np.uint8)
+    chars[:, -1, -1] = ord("\n")
+    return chars.reshape(rows, 8 * words).view("<u8")
+
+
+def masked_text(chars: np.ndarray) -> str:
+    """The text of the rows of bytes chars by the boolean-mask compaction
+    the writers used before bytes.translate."""
+    return str(chars[chars != 0].data, "ascii")
+
+
+class TestBlockTexts:
+    """_block_texts drops a block's NULs with one bytes.translate per
+    piece: its text is the mask compaction's, piece by piece, with the
+    rows in order or laid out by an index."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_mask_compaction(self, monkeypatch, seed):
+        rng = np.random.default_rng(3100 + seed)
+        rows, words = int(rng.integers(1, 50)), int(rng.integers(1, 40))
+        block = random_rows(rng, rows, words)
+        chars = block.view(np.uint8)
+        # rows wider than a piece, pieces that end inside a row, and one piece for the block
+        width = chars.shape[1]
+        write_bytes = int(rng.choice([1, width - 1, width * int(rng.integers(1, rows + 1)) + int(rng.integers(width)),
+                                      1 << 17]))
+        monkeypatch.setattr(kleinb.cli, "WRITE_BYTES", write_bytes)
+        step = max(1, write_bytes // width)
+        pieces = list(kleinb.cli._block_texts(block))
+        assert pieces == [masked_text(chars[lo:lo + step]) for lo in range(0, rows, step)]
+        order = rng.integers(0, rows, int(rng.integers(1, 3 * rows + 1)))
+        pieces = list(kleinb.cli._block_texts(block, order))
+        assert pieces == [masked_text(chars[order[lo:lo + step]]) for lo in range(0, len(order), step)]
+
+
 REPEAT_SWEEPS = [
     # (axis, values, fixed flags, --columns or None): values repeated within
     # and across chunks of 3 rows, -0 next to 0 and nan next to -nan
@@ -791,6 +850,27 @@ class TestRepeatedAxisValues:
         assert sum(calls["broken_rules"]) <= 21 and sum(calls["_evaluate"]) <= 21
         assert out == reference_sweep_csv("n", values, fixed)
         assert {line.split(",")[-1] for line in out.splitlines()[1:]} == {"", "InvalidSpinIndex", "ClosedChannel"}
+
+    def test_levels_across_chunks(self, capsys):
+        # 10000 levels drawn from 0..29 fill three chunks, each with repeats
+        levels = np.random.default_rng(3102).integers(0, 30, 10_000).tolist()
+        assert math.ceil(len(levels) / kleinb.cli.CSV_CHUNK_LINES) == 3
+        fixed = {"E": 3.0, "V0": 6.0, "b": 0.25, "spin": "up"}
+        out = TestCsvBytes().sweep(capsys, "n", ",".join(map(str, levels)), fixed)
+        each = TestCsvBytes().sweep(capsys, "n", ",".join(map(str, range(30))), fixed).splitlines(keepends=True)
+        assert out == each[0] + "".join(each[1 + level] for level in levels)
+
+    def test_few_repeats(self, capsys):
+        # 46 of 2000 b values are 0: the chunk's 1955 distinct rows are
+        # written once each, and the 45 repeats from the first b = 0 row
+        rng = np.random.default_rng(28)
+        b = rng.uniform(0.0, 0.5, 2000)
+        b[rng.choice(2000, 46, replace=False)] = 0.0
+        values = ",".join(map(repr, b.tolist()))
+        fixed = {"E": 2.0, "V0": 6.0, "n": 1, "spin": "up"}
+        out = TestCsvBytes().sweep(capsys, "b", values, fixed)
+        assert out == reference_sweep_csv("b", values, fixed)
+        assert sum(line.startswith("0,") for line in out.splitlines()) == 46
 
     @pytest.mark.parametrize("axis, values, fixed, columns", REPEAT_SWEEPS)
     def test_distinct_per_chunk(self, capsys, monkeypatch, axis, values, fixed, columns):
